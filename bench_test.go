@@ -532,6 +532,37 @@ func BenchmarkSimulator(b *testing.B) {
 	}
 }
 
+// BenchmarkGate isolates the legality gate every served schedule passes
+// (sim.Gate), with simulation on as the service runs it: one shell copy,
+// one validation and one simulation against reference execution.
+func BenchmarkGate(b *testing.B) {
+	k, _ := bench.ByName("cholesky")
+	cases := []struct {
+		name string
+		g    *ir.Graph
+		m    *machine.Model
+		mem  sim.Memory
+	}{
+		{"cholesky/raw16", k.Build(16), machine.Raw(16), k.InitMemory(16)},
+		{"random2000/vliw4", bench.RandomLayered(2000, 2000/12+4, 4, exp.Seed), machine.Chorus(4), nil},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			s, _, err := core.Schedule(c.g, c.m, passes.ForMachine(c.m.Name), exp.Seed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Gate(s, c.g, c.m, true, c.mem); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblationIterative measures the iterative convergence mode
 // (schedule feedback re-seeding the preference map) at 1, 2 and 4 rounds on
 // the Raw suite, reporting the mean schedule-length ratio to one round.

@@ -49,6 +49,27 @@ func bootServe(t *testing.T, o options) (string, chan os.Signal, chan error, *by
 	}
 }
 
+// waitReady polls /readyz until it answers 200. bootServe only waits for
+// /healthz; with a store configured, readiness follows the asynchronous
+// store replay, which can still answer 503 "starting".
+func waitReady(t *testing.T, base string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		r, err := http.Get(base + "/readyz")
+		if err == nil {
+			r.Body.Close()
+			if r.StatusCode == http.StatusOK {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("daemon never became ready")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestServeScheduleAndDrain boots the daemon loop with chaos active, serves a
 // request, then delivers SIGTERM and expects a clean drain with final stats.
 func TestServeScheduleAndDrain(t *testing.T) {
@@ -154,6 +175,7 @@ func TestStoreDuplicateDirRefused(t *testing.T) {
 		storeNoSync: true,
 	}
 	base, stop, done, _ := bootServe(t, o)
+	waitReady(t, base)
 
 	ln2, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -218,20 +240,7 @@ func TestServeStoreWarmRestart(t *testing.T) {
 	}
 
 	base2, stop2, done2, logbuf := bootServe(t, o)
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		r, err := http.Get(base2 + "/readyz")
-		if err == nil {
-			r.Body.Close()
-			if r.StatusCode == http.StatusOK {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("restarted daemon never became ready")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitReady(t, base2)
 	resp, err = http.Post(base2+"/schedule?machine=raw4", "text/plain", strings.NewReader(ddg))
 	if err != nil {
 		t.Fatal(err)

@@ -53,20 +53,14 @@ func (r *Result) Priority() []float64 {
 // Converge runs the pass sequence over a fresh state and returns the
 // converged preferences. The seed fixes the noise pass; every other pass is
 // deterministic. The weight-map invariants are restored after every pass.
-func Converge(g *ir.Graph, m *machine.Model, passes []Pass, seed int64) *Result {
-	return ConvergeCtx(context.Background(), g, m, passes, seed)
-}
-
-// ConvergeCtx is Converge with a context; when the context carries an
-// obs.Trace, each pass records a preference-map delta into it.
 //
 // The state is drawn from an internal pool and returned to it before
-// ConvergeCtx returns; the Result never aliases pooled memory. The pooled
-// path is proven byte-identical to a fresh NewState + ConvergeStateCtx run by
-// the differential harness at the repository root.
-func ConvergeCtx(ctx context.Context, g *ir.Graph, m *machine.Model, passes []Pass, seed int64) *Result {
+// Converge returns; the Result never aliases pooled memory. The pooled path
+// is proven byte-identical to a fresh NewState + ConvergeStateCtx run by the
+// differential harness at the repository root.
+func Converge(g *ir.Graph, m *machine.Model, passes []Pass, seed int64) *Result {
 	s := newPooledState(g, m, seed)
-	res := ConvergeStateCtx(ctx, s, passes)
+	res := ConvergeStateCtx(context.Background(), s, passes)
 	s.release()
 	return res
 }
@@ -83,12 +77,6 @@ func RunPasses(s *State, passes []Pass) {
 		p.Run(s)
 		s.W.NormalizeAll()
 	}
-}
-
-// ConvergeState is Converge on a caller-built state, allowing callers to
-// pre-bias the map or reuse analyses.
-func ConvergeState(s *State, passes []Pass) *Result {
-	return ConvergeStateCtx(context.Background(), s, passes)
 }
 
 // clusterMarginals returns the per-instruction cluster marginal distribution
@@ -157,7 +145,8 @@ func passDelta(w *PrefMap, before, after [][]float64, prev, cur []int) obs.PassD
 	return d
 }
 
-// ConvergeStateCtx is ConvergeState with a context. A trace carried by the
+// ConvergeStateCtx runs the pass sequence on a caller-built state, allowing
+// callers to pre-bias the map or reuse analyses. A trace carried by the
 // context receives one PassDelta per pass; without one the loop is exactly
 // the untraced path (recording only reads the map, so traced and untraced
 // runs produce byte-identical results either way).
@@ -232,7 +221,7 @@ func Schedule(g *ir.Graph, m *machine.Model, passes []Pass, seed int64) (*schedu
 
 // ScheduleCtx is Schedule with a context; a trace carried by the context
 // records per-pass preference-map deltas during convergence. Like
-// ConvergeCtx it runs on a pooled state, released before returning.
+// Converge it runs on a pooled state, released before returning.
 func ScheduleCtx(ctx context.Context, g *ir.Graph, m *machine.Model, passes []Pass, seed int64) (*schedule.Schedule, *Result, error) {
 	if err := listsched.CheckGraph(g, m); err != nil {
 		return nil, nil, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/ir"
 	"repro/internal/listsched"
 	"repro/internal/machine"
@@ -40,20 +42,7 @@ func IterativeSchedule(g *ir.Graph, m *machine.Model, seq []Pass, seed int64, ro
 		if prev != nil {
 			seedFromSchedule(s, prev)
 		}
-		conv := ConvergeState(s, seq)
-		listsched.SpreadConsts(g, m, conv.Assignment)
-		prio := conv.Priority()
-		h := g.Height(m.LatencyFunc())
-		maxH := 1
-		for _, v := range h {
-			if v > maxH {
-				maxH = v
-			}
-		}
-		for i := range prio {
-			prio[i] -= float64(h[i]) / float64(maxH+1)
-		}
-		sched, err := listsched.Run(g, m, listsched.Options{Assignment: conv.Assignment, Priority: prio})
+		sched, _, err := scheduleState(context.Background(), s, seq)
 		if err != nil {
 			return nil, err
 		}

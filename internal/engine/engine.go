@@ -11,8 +11,8 @@
 // verification mode. Isomorphic graphs — the same scheduling unit parsed or
 // generated under a different topological numbering — therefore share a key:
 // cached schedules are stored in canonical instruction order and rehydrated
-// onto the requesting graph's numbering. Every rehydrated schedule is
-// re-validated against the requesting graph and machine before it is served,
+// onto the requesting graph's numbering. Every rehydrated schedule passes
+// sim.Gate against the requesting graph and machine before it is served,
 // so a canonical-hash collision can cost a recomputation but never an
 // illegal schedule; such events are counted as collisions.
 //
@@ -357,7 +357,8 @@ func canonicalize(s *schedule.Schedule, served string, canon ir.Canonical) entry
 }
 
 // rehydrate maps a canonical entry onto the requesting graph's numbering and
-// re-validates it there, so nothing illegal can come out of the cache.
+// passes it through sim.Gate there, so nothing illegal can come out of the
+// cache.
 func rehydrate(ent entry, job Job, canon ir.Canonical) (*schedule.Schedule, error) {
 	n := job.Graph.Len()
 	if len(ent.placements) != n {
@@ -379,18 +380,6 @@ func rehydrate(ent entry, job Job, canon ir.Canonical) (*schedule.Schedule, erro
 			comms[k] = c
 		}
 	}
-	shell := &schedule.Schedule{Graph: job.Graph, Machine: job.Machine, Placements: pl, Comms: comms}
-	if err := shell.Validate(); err != nil {
-		return nil, err
-	}
-	if job.Opts.Verify {
-		mem := job.Opts.InitMemory
-		if mem == nil {
-			mem = sim.NewMemory()
-		}
-		if _, err := sim.Verify(shell, mem); err != nil {
-			return nil, err
-		}
-	}
-	return shell, nil
+	cand := &schedule.Schedule{Placements: pl, Comms: comms}
+	return sim.Gate(cand, job.Graph, job.Machine, job.Opts.Verify, job.Opts.InitMemory)
 }

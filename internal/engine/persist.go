@@ -164,12 +164,14 @@ func (e *Engine) RecoverStore() (store.RecoveryStats, error) {
 	return rs, err
 }
 
-// verifyRecord is the legality gate every record from outside the process
+// verifyRecord is the admission check every record from outside the process
 // passes — store recovery replay and peer cache handoff alike. It re-verifies
 // the record from first principles: the machine must be reconstructible by
 // name with an unchanged fingerprint, the embedded graph must re-parse, and
 // the stored canonical-order placements must rehydrate onto that pristine
-// graph and validate there — the same gate every cache hit passes.
+// graph and pass sim.Gate there with validation only. A record carries no
+// initial memory, so simulation is left to the hit: a request that asks for
+// Verify simulates the rehydrated schedule when it is served.
 // Classification: unparseable content is corrupt, an unknown or reshaped
 // machine is skewed, and a well-formed record whose schedule fails the gate
 // is illegal.

@@ -9,9 +9,10 @@
 // relaxation at the same makespan, so the relaxed optimum (or any relaxed
 // lower bound) is a true lower bound; when a gated legal schedule's length
 // meets it, that schedule is proven optimal. The oracle never emits a
-// schedule it has not passed through the pristine-graph legality gate (and
-// the simulator when asked), and never reports a lower bound above the
-// length of a feasible schedule it holds.
+// schedule it has not passed through sim.Gate, the pristine-graph legality
+// gate the robust ladder and the schedule cache share (simulating when
+// asked), and never reports a lower bound above the length of a feasible
+// schedule it holds.
 package oracle
 
 import (
@@ -135,14 +136,14 @@ func Solve(ctx context.Context, g *ir.Graph, m *machine.Model, opt Options) (*Re
 	// deterministic list-scheduled fallback.
 	var best *schedule.Schedule
 	if opt.Incumbent != nil {
-		gated, err := gate(g, m, opt.Incumbent, opt)
+		gated, err := sim.Gate(opt.Incumbent, g, m, opt.Verify, opt.InitMemory)
 		if err != nil {
 			return nil, fmt.Errorf("oracle: incumbent fails the legality gate: %w", err)
 		}
 		best = gated
 	}
 	if fallback, err := listSeed(p); err == nil {
-		if gated, gerr := gate(g, m, fallback, opt); gerr == nil {
+		if gated, gerr := sim.Gate(fallback, g, m, opt.Verify, opt.InitMemory); gerr == nil {
 			if best == nil || gated.Length() < best.Length() {
 				best = gated
 			}
@@ -191,7 +192,7 @@ func Solve(ctx context.Context, g *ir.Graph, m *machine.Model, opt Options) (*Re
 	// assignment and the relaxed starts as priorities, then gate it.
 	if relaxedBest != nil {
 		if realized, err := realize(p, relaxedBest); err == nil {
-			if gated, gerr := gate(g, m, realized, opt); gerr == nil && gated.Length() < res.BestLength {
+			if gated, gerr := sim.Gate(realized, g, m, opt.Verify, opt.InitMemory); gerr == nil && gated.Length() < res.BestLength {
 				res.Best = gated
 				res.BestLength = gated.Length()
 			}
@@ -237,32 +238,4 @@ func realize(p *problem, sol []place) (*schedule.Schedule, error) {
 		prio[i] = float64(pl.start)
 	}
 	return listsched.Run(p.g, p.m, listsched.Options{Assignment: assign, Priority: prio})
-}
-
-// gate re-attaches a candidate schedule to the pristine graph and machine
-// and checks its complete legality there, mirroring the robust-tier gate;
-// the oracle never emits an unchecked schedule.
-func gate(g *ir.Graph, m *machine.Model, cand *schedule.Schedule, opt Options) (*schedule.Schedule, error) {
-	if len(cand.Placements) != g.Len() {
-		return nil, fmt.Errorf("schedule places %d of %d instructions", len(cand.Placements), g.Len())
-	}
-	shell := &schedule.Schedule{
-		Graph:      g,
-		Machine:    m,
-		Placements: append([]schedule.Placement(nil), cand.Placements...),
-		Comms:      append([]schedule.Comm(nil), cand.Comms...),
-	}
-	if err := shell.Validate(); err != nil {
-		return nil, err
-	}
-	if opt.Verify {
-		mem := opt.InitMemory
-		if mem == nil {
-			mem = sim.NewMemory()
-		}
-		if _, err := sim.Verify(shell, mem); err != nil {
-			return nil, err
-		}
-	}
-	return shell, nil
 }

@@ -78,13 +78,7 @@ func ListRung(m *machine.Model) Rung {
 // of the combinatorial-scheduling literature: always have a cheaper legal
 // answer to fall back to.
 func DefaultLadder(m *machine.Model, seed int64) []Rung {
-	seq := passes.ForMachine(m.Name)
-	return []Rung{
-		ConvergentRung("convergent", m, seq, seed),
-		ConvergentRung("convergent-truncated", m, TruncatedSequence(seq), seed+1),
-		BaselineRung(m),
-		ListRung(m),
-	}
+	return ladder(m, "convergent", passes.ForMachine(m.Name), seed)
 }
 
 // DefaultLadderID returns a stable textual identity of the ladder that
@@ -95,11 +89,7 @@ func DefaultLadder(m *machine.Model, seed int64) []Rung {
 // schedulers — a new pass in the sequence, a different truncation, or a
 // different baseline all change the ID.
 func DefaultLadderID(m *machine.Model, seed int64) string {
-	seq := passes.ForMachine(m.Name)
-	return fmt.Sprintf("convergent[%s|seed=%d]>convergent-truncated[%s|seed=%d]>%s>list",
-		core.SequenceID(seq), seed,
-		core.SequenceID(TruncatedSequence(seq)), seed+1,
-		BaselineRung(m).Name)
+	return ladderID(m, "convergent", passes.ForMachine(m.Name), seed)
 }
 
 // TunedLadder is DefaultLadder with the oracle-tuned pass sequence
@@ -107,13 +97,7 @@ func DefaultLadderID(m *machine.Model, seed int64) string {
 // unchanged: tuning moves cycles on the healthy path, not the degradation
 // story.
 func TunedLadder(m *machine.Model, seed int64) []Rung {
-	seq := passes.TunedForMachine(m.Name)
-	return []Rung{
-		ConvergentRung("convergent-tuned", m, seq, seed),
-		ConvergentRung("convergent-tuned-truncated", m, TruncatedSequence(seq), seed+1),
-		BaselineRung(m),
-		ListRung(m),
-	}
+	return ladder(m, "convergent-tuned", passes.TunedForMachine(m.Name), seed)
 }
 
 // TunedLadderID is the cache identity of TunedLadder(m, seed), mirroring
@@ -121,10 +105,26 @@ func TunedLadder(m *machine.Model, seed int64) []Rung {
 // shipped sequence changes the ID and can never serve stale cached
 // schedules.
 func TunedLadderID(m *machine.Model, seed int64) string {
-	seq := passes.TunedForMachine(m.Name)
-	return fmt.Sprintf("convergent-tuned[%s|seed=%d]>convergent-tuned-truncated[%s|seed=%d]>%s>list",
-		core.SequenceID(seq), seed,
-		core.SequenceID(TruncatedSequence(seq)), seed+1,
+	return ladderID(m, "convergent-tuned", passes.TunedForMachine(m.Name), seed)
+}
+
+// ladder builds the four-rung degradation ladder over seq: the full and the
+// truncated convergent rung (named name and name-truncated), then the
+// machine's baseline and the list rung.
+func ladder(m *machine.Model, name string, seq []core.Pass, seed int64) []Rung {
+	return []Rung{
+		ConvergentRung(name, m, seq, seed),
+		ConvergentRung(name+"-truncated", m, TruncatedSequence(seq), seed+1),
+		BaselineRung(m),
+		ListRung(m),
+	}
+}
+
+// ladderID is the cache identity of ladder(m, name, seq, seed).
+func ladderID(m *machine.Model, name string, seq []core.Pass, seed int64) string {
+	return fmt.Sprintf("%s[%s|seed=%d]>%s-truncated[%s|seed=%d]>%s>list",
+		name, core.SequenceID(seq), seed,
+		name, core.SequenceID(TruncatedSequence(seq)), seed+1,
 		BaselineRung(m).Name)
 }
 

@@ -9,15 +9,18 @@
 // level, which is what a served scheduler needs: a rung may panic, stall,
 // return garbage, or lie, and the driver still returns *some* validated
 // schedule plus a report of which rungs failed and why. The gate never
-// trusts a rung's output: every candidate is re-attached to the pristine
-// input graph and machine model and re-validated from scratch (optionally
-// including simulation against sequential reference semantics), so a
-// scheduler that was fed corrupted preferences, a mutilated dependence
-// graph, or a lying latency table cannot smuggle an illegal schedule out.
+// trusts a rung's output: every candidate passes sim.Gate, the one legality
+// gate the oracle and the schedule cache share, which re-attaches it to the
+// pristine input graph and machine model and re-validates it from scratch
+// (optionally including simulation against sequential reference
+// semantics), so a scheduler that was fed corrupted preferences, a
+// mutilated dependence graph, or a lying latency table cannot smuggle an
+// illegal schedule out.
 package robust
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"strings"
@@ -279,33 +282,31 @@ func attempt(ctx context.Context, r Rung, g *ir.Graph, timeout time.Duration) (*
 	}
 }
 
-// gate re-attaches a candidate schedule to the pristine graph and machine
-// and checks its complete legality there, so nothing a rung did to its
-// private inputs can leak into the accepted schedule.
-func gate(name string, cand *schedule.Schedule, g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, *SchedError) {
-	if len(cand.Placements) != g.Len() {
-		return nil, &SchedError{Rung: name, Stage: StageValidate,
-			Err: fmt.Errorf("schedule places %d of %d instructions", len(cand.Placements), g.Len())}
-	}
-	shell := &schedule.Schedule{
-		Graph:      g,
-		Machine:    m,
-		Placements: append([]schedule.Placement(nil), cand.Placements...),
-		Comms:      append([]schedule.Comm(nil), cand.Comms...),
-	}
-	if err := shell.Validate(); err != nil {
-		return nil, &SchedError{Rung: name, Stage: StageValidate, Err: err}
-	}
-	if opt.Verify {
-		mem := opt.InitMemory
-		if mem == nil {
-			mem = sim.NewMemory()
-		}
-		if _, err := sim.Verify(shell, mem); err != nil {
-			return nil, &SchedError{Rung: name, Stage: StageVerify, Err: err}
+// try runs one isolated attempt of r and passes its candidate through the
+// legality gate (sim.Gate), mapping the gate's illegal and wrong-answer
+// classes onto StageValidate and StageVerify. The outcome is appended to the
+// report (naming r as served on success) and mirrored into the trace;
+// breaker bookkeeping is the caller's.
+func try(ctx context.Context, r Rung, g *ir.Graph, m *machine.Model, opt Options, timeout time.Duration, rep *Report, tr *obs.Trace) (*schedule.Schedule, *SchedError) {
+	t0 := time.Now()
+	cand, serr := attempt(ctx, r, g, timeout)
+	if serr == nil {
+		var err error
+		if cand, err = sim.Gate(cand, g, m, opt.Verify, opt.InitMemory); err != nil {
+			stage := StageValidate
+			if errors.Is(err, sim.ErrWrongAnswer) {
+				stage = StageVerify
+			}
+			serr = &SchedError{Rung: r.Name, Stage: stage, Err: err}
 		}
 	}
-	return shell, nil
+	dur := time.Since(t0)
+	rep.Attempts = append(rep.Attempts, Attempt{Rung: r.Name, Duration: dur, Err: serr})
+	recordAttempt(tr, r.Name, dur, serr)
+	if serr == nil {
+		rep.Served = r.Name
+	}
+	return cand, serr
 }
 
 // Schedule walks the ladder until a rung produces a schedule that passes
@@ -353,14 +354,7 @@ func Schedule(ctx context.Context, g *ir.Graph, m *machine.Model, opt Options) (
 			last = serr
 			continue
 		}
-		t0 := time.Now()
-		cand, serr := attempt(ctx, r, g, opt.Timeout)
-		if serr == nil {
-			cand, serr = gate(r.Name, cand, g, m, opt)
-		}
-		dur := time.Since(t0)
-		rep.Attempts = append(rep.Attempts, Attempt{Rung: r.Name, Duration: dur, Err: serr})
-		recordAttempt(tr, r.Name, dur, serr)
+		cand, serr := try(ctx, r, g, m, opt, opt.Timeout, rep, tr)
 		if opt.Breakers != nil {
 			switch {
 			case serr == nil:
@@ -376,7 +370,6 @@ func Schedule(ctx context.Context, g *ir.Graph, m *machine.Model, opt Options) (
 		}
 		watch()
 		if serr == nil {
-			rep.Served = r.Name
 			return cand, rep, nil
 		}
 		last = serr
@@ -394,14 +387,7 @@ func Schedule(ctx context.Context, g *ir.Graph, m *machine.Model, opt Options) (
 		r := ladder[len(ladder)-1]
 		key := breakerKey(r.Name, opt.BreakerScope)
 		watch := breakerWatch(tr, opt.Breakers, key)
-		t0 := time.Now()
-		cand, serr := attempt(ctx, r, g, 0)
-		if serr == nil {
-			cand, serr = gate(r.Name, cand, g, m, opt)
-		}
-		dur := time.Since(t0)
-		rep.Attempts = append(rep.Attempts, Attempt{Rung: r.Name, Duration: dur, Err: serr})
-		recordAttempt(tr, r.Name, dur, serr)
+		cand, serr := try(ctx, r, g, m, opt, 0, rep, tr)
 		// The rescue attempt bypasses Allow — it is the serve-at-any-cost
 		// path — but its outcome still teaches the breaker.
 		if opt.Breakers != nil && (serr == nil || ctx.Err() == nil) {
@@ -409,7 +395,6 @@ func Schedule(ctx context.Context, g *ir.Graph, m *machine.Model, opt Options) (
 		}
 		watch()
 		if serr == nil {
-			rep.Served = r.Name
 			return cand, rep, nil
 		}
 		last = serr

@@ -1,10 +1,12 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/ir"
+	"repro/internal/machine"
 	"repro/internal/schedule"
 )
 
@@ -122,6 +124,11 @@ func Run(s *schedule.Schedule, initial Memory) (*Result, error) {
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("sim: invalid schedule: %w", err)
 	}
+	return run(s, initial)
+}
+
+// run is Run on a schedule the caller has already validated.
+func run(s *schedule.Schedule, initial Memory) (*Result, error) {
 	g := s.Graph
 	order := make([]int, g.Len())
 	for i := range order {
@@ -153,15 +160,23 @@ func Run(s *schedule.Schedule, initial Memory) (*Result, error) {
 	return &Result{Values: values, Memory: mem, Cycles: s.Length()}, nil
 }
 
-// Verify runs the schedule and checks it against reference execution,
-// returning the schedule's result on success and a diagnostic error on the
-// first divergence.
+// Verify validates the schedule, runs it and checks it against reference
+// execution, returning the schedule's result on success and a diagnostic
+// error on the first divergence.
 func Verify(s *schedule.Schedule, initial Memory) (*Result, error) {
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: invalid schedule: %w", err)
+	}
+	return verifyValid(s, initial)
+}
+
+// verifyValid is Verify on a schedule the caller has already validated.
+func verifyValid(s *schedule.Schedule, initial Memory) (*Result, error) {
 	want, err := Reference(s.Graph, initial)
 	if err != nil {
 		return nil, err
 	}
-	got, err := Run(s, initial)
+	got, err := run(s, initial)
 	if err != nil {
 		return nil, err
 	}
@@ -174,4 +189,58 @@ func Verify(s *schedule.Schedule, initial Memory) (*Result, error) {
 		return nil, fmt.Errorf("sim: final memory diverges from reference")
 	}
 	return got, nil
+}
+
+// Rejection classes of Gate, tested with errors.Is.
+var (
+	// ErrIllegal: the candidate does not fit the graph or fails
+	// schedule.Validate against the pristine graph and machine.
+	ErrIllegal = errors.New("sim: illegal schedule")
+	// ErrWrongAnswer: the candidate is legal but its simulation diverges
+	// from sequential reference execution.
+	ErrWrongAnswer = errors.New("sim: wrong answer")
+)
+
+// gateError tags a rejection with its class while keeping the underlying
+// diagnostic as the message.
+type gateError struct {
+	class error
+	err   error
+}
+
+func (e *gateError) Error() string        { return e.err.Error() }
+func (e *gateError) Unwrap() error        { return e.err }
+func (e *gateError) Is(target error) bool { return target == e.class }
+
+// Gate is the legality gate every served schedule passes — ladder rungs,
+// oracle schedules and cache hits alike. It re-attaches the candidate's
+// placements and communications to the pristine graph g and machine m, in
+// fresh slices that share no backing array with the candidate, so nothing a
+// scheduler did to its private inputs can leak into the accepted schedule.
+// The shell is validated exactly once; when verify is set it is then
+// simulated against reference execution from initial (nil means empty
+// memory) without validating again. A rejection wraps ErrIllegal or
+// ErrWrongAnswer.
+func Gate(cand *schedule.Schedule, g *ir.Graph, m *machine.Model, verify bool, initial Memory) (*schedule.Schedule, error) {
+	if len(cand.Placements) != g.Len() {
+		return nil, &gateError{ErrIllegal, fmt.Errorf("schedule places %d of %d instructions", len(cand.Placements), g.Len())}
+	}
+	shell := &schedule.Schedule{
+		Graph:      g,
+		Machine:    m,
+		Placements: append([]schedule.Placement(nil), cand.Placements...),
+		Comms:      append([]schedule.Comm(nil), cand.Comms...),
+	}
+	if err := shell.Validate(); err != nil {
+		return nil, &gateError{ErrIllegal, err}
+	}
+	if verify {
+		if initial == nil {
+			initial = NewMemory()
+		}
+		if _, err := verifyValid(shell, initial); err != nil {
+			return nil, &gateError{ErrWrongAnswer, err}
+		}
+	}
+	return shell, nil
 }
