@@ -484,23 +484,35 @@ func BenchmarkPrefMapOps(b *testing.B) {
 // convergent pass sequence on a mid-size graph: the zero-allocation hot path
 // the scratch-arena rewrite targets. The benchmark-gate CI step (see
 // cmd/benchgate) compares these numbers base-vs-head and fails the build on
-// a time regression or any allocs/op above zero.
+// a time regression or any allocs/op above zero. The raw16-cholesky case has
+// the suite's longest time horizon (346 slots against mxm's 18), so it is
+// the one that shows what time-windowed row sweeps save.
 func BenchmarkPrefMapPassLoop(b *testing.B) {
-	for _, m := range []*machine.Model{machine.Raw(4), machine.Raw(16), machine.Chorus(4)} {
-		m := m
-		b.Run(m.Name, func(b *testing.B) {
+	cases := []struct {
+		name   string
+		m      *machine.Model
+		kernel string
+	}{
+		{"raw4", machine.Raw(4), "mxm"},
+		{"raw16", machine.Raw(16), "mxm"},
+		{"vliw4", machine.Chorus(4), "mxm"},
+		{"raw16-cholesky", machine.Raw(16), "cholesky"},
+	}
+	for _, c := range cases {
+		m := c.m
+		b.Run(c.name, func(b *testing.B) {
 			seq := passes.ForMachine(m.Name)
-			var g *ir.Graph
-			for _, k := range bench.All() {
-				if k.Name == "mxm" {
-					g = k.Build(m.NumClusters)
-				}
+			k, ok := bench.ByName(c.kernel)
+			if !ok {
+				b.Fatalf("%s kernel not found", c.kernel)
 			}
-			if g == nil {
-				b.Fatal("mxm kernel not found")
-			}
+			g := k.Build(m.NumClusters)
 			s := core.NewState(g, m, exp.Seed)
-			core.RunPasses(s, seq)
+			// Warm the arena and level bins to their high-water marks, as
+			// TestRunPassesZeroAllocs does: one run leaves them still growing.
+			for i := 0; i < 5; i++ {
+				core.RunPasses(s, seq)
+			}
 			for i := 0; i < g.Len(); i++ {
 				s.Distances(i)
 			}

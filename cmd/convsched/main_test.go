@@ -122,6 +122,11 @@ func TestRunBatch(t *testing.T) {
 	path := writeKernel(t, "vvmul", 4)
 	o := opts("vliw4", "convergent", "stats", true)
 	o.cacheSize = 16
+	// One worker schedules the units in order, so the duplicate vvmul
+	// always finds the first one's schedule in the cache. With more
+	// workers it may start while the first is still in flight and be
+	// shared instead, depending on thread timing.
+	o.jobs = 1
 	out, err := capture(t, func() error {
 		return run(o, []string{path, dir})
 	})

@@ -18,13 +18,14 @@ import (
 )
 
 // allocKernels is a structurally varied subset: dense matrix code, a wide
-// reduction and a long dependence chain stress different passes.
+// reduction and a long dependence chain stress different passes, and
+// cholesky has the suite's longest time horizon.
 func allocKernels(t testing.TB) []bench.Kernel {
 	t.Helper()
 	var out []bench.Kernel
 	for _, k := range bench.All() {
 		switch k.Name {
-		case "mxm", "sha", "vvmul":
+		case "mxm", "sha", "vvmul", "cholesky":
 			out = append(out, k)
 		}
 	}

@@ -25,22 +25,55 @@ const BigConfidence = 1e9
 
 // PrefMap is the three-dimensional weight matrix W[instruction][time][cluster].
 //
-// Every piece of state is a single contiguous backing array — the weights
-// themselves and both marginal caches — so the map is exactly four
-// allocations however many instructions it covers, pass inner loops walk
+// Every piece of state is a single contiguous backing array — the weights,
+// both marginal caches and the per-instruction bookkeeping — so the map is
+// exactly four allocations however many instructions it covers, pass inner loops walk
 // cache lines instead of chasing per-instruction slice headers, and Reset
 // can re-shape the map for a new graph without allocating at all once the
 // backing arrays have grown to the workload's high-water mark. Per-
 // instruction cluster and time marginals are cached and recomputed lazily
 // after mutation, so PreferredCluster and Confidence are O(1) between
 // mutations of the same instruction.
+//
+// Each instruction also carries a time window [lo, hi]: a conservative hull
+// outside of which every slot is exactly zero. INITTIME narrows it to the
+// feasible start window and no later operation can revive a zero slot
+// except by widening the window, so row sweeps run over the window instead
+// of all T slots. Skipping slots that are exactly zero changes no weight
+// and no marginal bit: weights are non-negative, so every skipped term of a
+// marginal sum is +0, and 0·f, 0/d and own·0+other·0 are 0 for the finite
+// factors the sweeps accept.
 type PrefMap struct {
 	n, T, C int
 	w       []float64 // len n*T*C, W[i][t][c] at (i*T+t)*C + c
 
-	dirty      []bool    // len n
-	clusterSum []float64 // len n*C, [i*C+c] = Σ_t W[i][t][c]
-	timeSum    []float64 // len n*T, [i*T+t] = Σ_c W[i][t][c]
+	rows       []rowState // len n
+	clusterSum []float64  // len n*C, [i*C+c] = Σ_t W[i][t][c]
+	timeSum    []float64  // len n*T, [i*T+t] = Σ_c W[i][t][c]
+}
+
+// rowState is one instruction's bookkeeping: its time window, with
+// W[i][t][·] = 0 for every t outside it, and whether its cached marginals
+// are stale.
+type rowState struct {
+	win   window
+	dirty bool
+}
+
+// window is an inclusive time-slot range [lo, hi]; lo > hi means empty.
+type window struct{ lo, hi int }
+
+func (w window) empty() bool { return w.lo > w.hi }
+
+// hull returns the smallest window covering both a and b.
+func hull(a, b window) window {
+	if a.empty() {
+		return b
+	}
+	if b.empty() {
+		return a
+	}
+	return window{min(a.lo, b.lo), max(a.hi, b.hi)}
 }
 
 // NewPrefMap returns a map for n instructions, T time slots and C clusters,
@@ -75,30 +108,29 @@ func (p *PrefMap) Reset(n, T, C int) {
 	checkShape(n, T, C)
 	p.n, p.T, p.C = n, T, C
 	p.w = grow(p.w, n*T*C)
-	p.dirty = growBools(p.dirty, n)
+	p.rows = grow(p.rows, n)
 	p.clusterSum = grow(p.clusterSum, n*C)
 	p.timeSum = grow(p.timeSum, n*T)
 	u := 1.0 / float64(T*C)
 	for i := range p.w {
 		p.w[i] = u
 	}
-	for i := range p.dirty {
-		p.dirty[i] = true
+	for i := range p.rows {
+		p.rows[i] = rowState{win: p.full(), dirty: true}
 	}
 }
+
+// full returns the window covering every time slot.
+func (p *PrefMap) full() window { return window{0, p.T - 1} }
+
+// cover widens instruction i's window to include slot t.
+func (p *PrefMap) cover(i, t int) { p.rows[i].win = hull(p.rows[i].win, window{t, t}) }
 
 // grow returns a slice of exactly length n, reusing s's backing array when
 // it is big enough.
-func grow(s []float64, n int) []float64 {
+func grow[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]E, n)
 	}
 	return s[:n]
 }
@@ -120,6 +152,18 @@ func (p *PrefMap) row(i int) []float64 {
 	return p.w[base : base+p.T*p.C]
 }
 
+// span returns the weight block of instruction i's window, together with
+// the window's first slot (the block's slot 0). An empty window yields an
+// empty block.
+func (p *PrefMap) span(i int) (block []float64, lo int) {
+	w := p.rows[i].win
+	if w.empty() {
+		return nil, 0
+	}
+	base := i * p.T * p.C
+	return p.w[base+w.lo*p.C : base+(w.hi+1)*p.C], w.lo
+}
+
 // At returns W[i][t][c].
 func (p *PrefMap) At(i, t, c int) float64 { return p.w[p.idx(i, t, c)] }
 
@@ -129,7 +173,8 @@ func (p *PrefMap) Set(i, t, c int, v float64) {
 		panic(fmt.Sprintf("core: Set(%d,%d,%d) to %v", i, t, c, v))
 	}
 	p.w[p.idx(i, t, c)] = v
-	p.dirty[i] = true
+	p.cover(i, t)
+	p.rows[i].dirty = true
 }
 
 // Mul multiplies W[i][t][c] by the non-negative factor f.
@@ -139,12 +184,17 @@ func (p *PrefMap) Mul(i, t, c int, f float64) { p.Set(i, t, c, p.At(i, t, c)*f) 
 func (p *PrefMap) Add(i, t, c int, d float64) { p.Set(i, t, c, p.At(i, t, c)+d) }
 
 // MulCluster multiplies every time slot of cluster c for instruction i by f.
+// A non-finite f turns the zero slots outside the window into NaN (0·Inf),
+// so it sweeps the whole row and widens the window to full.
 func (p *PrefMap) MulCluster(i, c int, f float64) {
-	row := p.row(i)
-	for t := 0; t < p.T; t++ {
-		row[t*p.C+c] *= f
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		p.rows[i].win = p.full()
 	}
-	p.dirty[i] = true
+	row, _ := p.span(i)
+	for k := c; k < len(row); k += p.C {
+		row[k] *= f
+	}
+	p.rows[i].dirty = true
 }
 
 // MulTime multiplies every cluster entry of time slot t for instruction i by f.
@@ -153,7 +203,8 @@ func (p *PrefMap) MulTime(i, t int, f float64) {
 	for c := 0; c < p.C; c++ {
 		p.w[base+c] *= f
 	}
-	p.dirty[i] = true
+	p.cover(i, t)
+	p.rows[i].dirty = true
 }
 
 // Apply rewrites every slot of instruction i through f. The returned values
@@ -169,24 +220,26 @@ func (p *PrefMap) Apply(i int, f func(t, c int, w float64) float64) {
 			p.w[base+c] = v
 		}
 	}
-	p.dirty[i] = true
+	p.rows[i].win = p.full()
+	p.rows[i].dirty = true
 }
 
 // ZeroTimesOutside squashes every slot of instruction i whose time lies
 // outside [lo, hi]. It is INITTIME's inner operation, equivalent to an Apply
-// that returns 0 outside the window, without the closure.
+// that returns 0 outside the window, without the closure. The instruction's
+// window shrinks to its intersection with [lo, hi], which may be empty.
 func (p *PrefMap) ZeroTimesOutside(i, lo, hi int) {
+	old := p.rows[i].win
+	keep := window{max(old.lo, lo), min(old.hi, hi)}
 	row := p.row(i)
-	for t := 0; t < p.T; t++ {
-		if t >= lo && t <= hi {
+	for t := old.lo; t <= old.hi; t++ {
+		if t >= keep.lo && t <= keep.hi {
 			continue
 		}
-		base := t * p.C
-		for c := 0; c < p.C; c++ {
-			row[base+c] = 0
-		}
+		clear(row[t*p.C : (t+1)*p.C])
 	}
-	p.dirty[i] = true
+	p.rows[i].win = keep
+	p.rows[i].dirty = true
 }
 
 // AddPerClusterMasked adds add[c] to every non-zero slot of instruction i.
@@ -194,30 +247,28 @@ func (p *PrefMap) ZeroTimesOutside(i, lo, hi int) {
 // additive noise must respect. add must hold C finite, non-negative values.
 func (p *PrefMap) AddPerClusterMasked(i int, add []float64) {
 	p.checkPerCluster("AddPerClusterMasked", i, add)
-	row := p.row(i)
-	for t := 0; t < p.T; t++ {
-		base := t * p.C
+	row, _ := p.span(i)
+	for base := 0; base < len(row); base += p.C {
 		for c := 0; c < p.C; c++ {
 			if w := row[base+c]; w != 0 {
 				row[base+c] = w + add[c]
 			}
 		}
 	}
-	p.dirty[i] = true
+	p.rows[i].dirty = true
 }
 
 // MulPerCluster multiplies every slot of instruction i on cluster c by f[c].
 // f must hold C finite, non-negative factors.
 func (p *PrefMap) MulPerCluster(i int, f []float64) {
 	p.checkPerCluster("MulPerCluster", i, f)
-	row := p.row(i)
-	for t := 0; t < p.T; t++ {
-		base := t * p.C
+	row, _ := p.span(i)
+	for base := 0; base < len(row); base += p.C {
 		for c := 0; c < p.C; c++ {
 			row[base+c] *= f[c]
 		}
 	}
-	p.dirty[i] = true
+	p.rows[i].dirty = true
 }
 
 // DivPerCluster divides every slot of instruction i on cluster c by d[c].
@@ -233,14 +284,13 @@ func (p *PrefMap) DivPerCluster(i int, d []float64) {
 			panic(fmt.Sprintf("core: DivPerCluster(%d): divisor %v for cluster %d", i, v, c))
 		}
 	}
-	row := p.row(i)
-	for t := 0; t < p.T; t++ {
-		base := t * p.C
+	row, _ := p.span(i)
+	for base := 0; base < len(row); base += p.C {
 		for c := 0; c < p.C; c++ {
 			row[base+c] /= d[c]
 		}
 	}
-	p.dirty[i] = true
+	p.rows[i].dirty = true
 }
 
 func (p *PrefMap) checkPerCluster(op string, i int, f []float64) {
@@ -256,17 +306,20 @@ func (p *PrefMap) checkPerCluster(op string, i int, f []float64) {
 
 // Blend mixes instruction j's distribution into instruction i's:
 // W[i] ← own·W[i] + (1-own)·W[j], the paper's linear-combination operation
-// with n = 2. own must lie in [0,1].
+// with n = 2. own must lie in [0,1]. Instruction i's window becomes the
+// hull of both windows.
 func (p *PrefMap) Blend(i, j int, own float64) {
 	if own < 0 || own > 1 {
 		panic(fmt.Sprintf("core: Blend weight %v", own))
 	}
-	ri, rj := p.row(i), p.row(j)
+	p.rows[i].win = hull(p.rows[i].win, p.rows[j].win)
+	ri, lo := p.span(i)
+	rj := p.row(j)[lo*p.C:]
 	other := 1 - own
 	for k := range ri {
 		ri[k] = own*ri[k] + other*rj[k]
 	}
-	p.dirty[i] = true
+	p.rows[i].dirty = true
 }
 
 // NonzeroSlotsPerCluster counts, per cluster, how many of instruction i's
@@ -277,12 +330,9 @@ func (p *PrefMap) NonzeroSlotsPerCluster(i int, dst []int) {
 	if len(dst) != p.C {
 		panic(fmt.Sprintf("core: NonzeroSlotsPerCluster(%d): dst holds %d of %d clusters", i, len(dst), p.C))
 	}
-	for c := range dst {
-		dst[c] = 0
-	}
-	row := p.row(i)
-	for t := 0; t < p.T; t++ {
-		base := t * p.C
+	clear(dst)
+	row, _ := p.span(i)
+	for base := 0; base < len(row); base += p.C {
 		for c := 0; c < p.C; c++ {
 			if row[base+c] > 0 {
 				dst[c]++
@@ -292,19 +342,11 @@ func (p *PrefMap) NonzeroSlotsPerCluster(i int, dst []int) {
 }
 
 func (p *PrefMap) refresh(i int) {
-	if !p.dirty[i] {
+	if !p.rows[i].dirty {
 		return
 	}
-	cs := p.clusterSum[i*p.C : (i+1)*p.C]
-	ts := p.timeSum[i*p.T : (i+1)*p.T]
-	for c := range cs {
-		cs[c] = 0
-	}
+	cs, ts, row := p.marginals(i)
 	for t := range ts {
-		ts[t] = 0
-	}
-	row := p.row(i)
-	for t := 0; t < p.T; t++ {
 		base := t * p.C
 		sum := 0.0
 		for c := 0; c < p.C; c++ {
@@ -314,7 +356,22 @@ func (p *PrefMap) refresh(i int) {
 		}
 		ts[t] = sum
 	}
-	p.dirty[i] = false
+	p.rows[i].dirty = false
+}
+
+// marginals zeroes instruction i's cluster marginal and the time marginal
+// outside its window (where every weight is exactly zero), and returns the
+// cluster marginal, the time marginal from the window's first slot on, and
+// the window's weight block, ready for a sweep that rebuilds them.
+func (p *PrefMap) marginals(i int) (cs, ts, row []float64) {
+	cs = p.clusterSum[i*p.C : (i+1)*p.C]
+	ts = p.timeSum[i*p.T : (i+1)*p.T]
+	clear(cs)
+	row, lo := p.span(i)
+	hi := lo + len(row)/p.C
+	clear(ts[:lo])
+	clear(ts[hi:])
+	return cs, ts[lo:hi], row
 }
 
 // ClusterWeight returns Σ_t W[i][t][c].
@@ -428,22 +485,13 @@ func (p *PrefMap) Confidence(i int) float64 {
 // any slot (and guarantees Normalize never emits NaN).
 func (p *PrefMap) Normalize(i int) {
 	total := p.Total(i)
-	row := p.row(i)
-	// The rescale also rebuilds the marginal caches in the same sweep —
-	// accumulating exactly the values it stores, in refresh's loop order,
-	// so the cached marginals are bit-identical to a recompute — and
-	// leaves the instruction clean. The driver reads preferred clusters
-	// after every normalization; the fusion makes those reads cache hits.
-	cs := p.clusterSum[i*p.C : (i+1)*p.C]
-	ts := p.timeSum[i*p.T : (i+1)*p.T]
-	for c := range cs {
-		cs[c] = 0
-	}
 	// A subnormal total is degenerate too: its reciprocal overflows to +Inf
 	// and would turn zero slots into 0·Inf = NaN during the rescale.
 	if total <= 0 || math.IsInf(total, 0) || math.IsNaN(total) || math.IsInf(1/total, 0) {
+		p.rows[i].win = p.full()
+		cs, ts, row := p.marginals(i)
 		u := 1.0 / float64(p.T*p.C)
-		for t := 0; t < p.T; t++ {
+		for t := range ts {
 			base := t * p.C
 			sum := 0.0
 			for c := 0; c < p.C; c++ {
@@ -453,11 +501,18 @@ func (p *PrefMap) Normalize(i int) {
 			}
 			ts[t] = sum
 		}
-		p.dirty[i] = false
+		p.rows[i].dirty = false
 		return
 	}
+	// The rescale also rebuilds the marginal caches in the same sweep —
+	// accumulating exactly the values it stores, in refresh's loop order,
+	// so the cached marginals are bit-identical to a recompute — and
+	// leaves the instruction clean. The driver reads preferred clusters
+	// after every normalization; the fusion makes those reads cache hits.
+	// Slots outside the window stay zero (0·inv = 0 for a finite inv).
+	cs, ts, row := p.marginals(i)
 	inv := 1 / total
-	for t := 0; t < p.T; t++ {
+	for t := range ts {
 		base := t * p.C
 		sum := 0.0
 		for c := 0; c < p.C; c++ {
@@ -468,7 +523,7 @@ func (p *PrefMap) Normalize(i int) {
 		}
 		ts[t] = sum
 	}
-	p.dirty[i] = false
+	p.rows[i].dirty = false
 }
 
 // NormalizeAll normalizes every instruction.
@@ -504,8 +559,8 @@ func (p *PrefMap) CheckInvariants(eps float64) error {
 func (p *PrefMap) Clone() *PrefMap {
 	q := NewPrefMap(p.n, p.T, p.C)
 	copy(q.w, p.w)
-	for i := range q.dirty {
-		q.dirty[i] = true
+	for i, r := range p.rows {
+		q.rows[i].win = r.win
 	}
 	return q
 }
