@@ -72,7 +72,7 @@ func BenchmarkTable1PassSequences(b *testing.B) {
 			g := k.Build(c.m.NumClusters)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.Converge(g, c.m, c.seq, exp.Seed)
+				core.RunPasses(context.Background(), core.NewState(g, c.m, exp.Seed), c.seq)
 			}
 		})
 	}
@@ -150,13 +150,12 @@ func BenchmarkFig7Convergence(b *testing.B) {
 	m := machine.Raw(16)
 	for _, k := range bench.RawSuite() {
 		b.Run(k.Name, func(b *testing.B) {
-			g := k.Build(16)
 			var churn float64
 			for i := 0; i < b.N; i++ {
-				res := core.Converge(g, m, passes.RawSequence(), exp.Seed)
+				row := exp.Convergence(m, []bench.Kernel{k}, passes.RawSequence())[0]
 				churn = 0
-				for _, pc := range res.Trace {
-					churn += pc.Fraction
+				for _, f := range row.Fractions {
+					churn += f
 				}
 			}
 			b.ReportMetric(churn, "total-churn")
@@ -214,13 +213,12 @@ func BenchmarkFig9Convergence(b *testing.B) {
 	m := machine.Chorus(4)
 	for _, k := range bench.VliwSuite() {
 		b.Run(k.Name, func(b *testing.B) {
-			g := k.Build(4)
 			var churn float64
 			for i := 0; i < b.N; i++ {
-				res := core.Converge(g, m, passes.VliwSequence(), exp.Seed)
+				row := exp.Convergence(m, []bench.Kernel{k}, passes.VliwSequence())[0]
 				churn = 0
-				for _, pc := range res.Trace {
-					churn += pc.Fraction
+				for _, f := range row.Fractions {
+					churn += f
 				}
 			}
 			b.ReportMetric(churn, "total-churn")
@@ -511,7 +509,7 @@ func BenchmarkPrefMapPassLoop(b *testing.B) {
 			// Warm the arena and level bins to their high-water marks, as
 			// TestRunPassesZeroAllocs does: one run leaves them still growing.
 			for i := 0; i < 5; i++ {
-				core.RunPasses(s, seq)
+				core.RunPasses(context.Background(), s, seq)
 			}
 			for i := 0; i < g.Len(); i++ {
 				s.Distances(i)
@@ -519,7 +517,7 @@ func BenchmarkPrefMapPassLoop(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				core.RunPasses(s, seq)
+				core.RunPasses(context.Background(), s, seq)
 			}
 		})
 	}

@@ -62,7 +62,6 @@ import (
 	"repro/internal/passes"
 	"repro/internal/robust"
 	"repro/internal/schedule"
-	"repro/internal/sim"
 )
 
 // options collects the command's flags.
@@ -197,7 +196,13 @@ func run(o options, args []string) error {
 	}
 
 	if o.show == "trace" {
-		return showTrace(o, g, m)
+		// The per-pass trace exists only inside the convergent driver.
+		if o.scheduler != "convergent" {
+			return fmt.Errorf("-show trace requires -scheduler convergent")
+		}
+		if o.chaos != "" {
+			return fmt.Errorf("-show trace cannot be combined with -chaos")
+		}
 	}
 
 	var ladder []robust.Rung
@@ -231,7 +236,7 @@ func run(o options, args []string) error {
 
 	ctx := context.Background()
 	var tr *obs.Trace
-	if o.traceOut != "" {
+	if o.traceOut != "" || o.show == "trace" {
 		tr = obs.NewTrace(g.Name, m.Name)
 		ctx = obs.WithTrace(ctx, tr)
 	}
@@ -242,7 +247,7 @@ func run(o options, args []string) error {
 	})
 	// The trace is written even when every rung failed: the recorded pass
 	// deltas and attempts are exactly what explains the failure.
-	if tr != nil {
+	if o.traceOut != "" {
 		if werr := writeTraceFile(o.traceOut, tr); werr != nil {
 			fmt.Fprintf(os.Stderr, "convsched: %v\n", werr)
 		}
@@ -255,7 +260,7 @@ func run(o options, args []string) error {
 	if o.show != "report" && len(rep.Attempts) > 1 {
 		fmt.Fprint(os.Stderr, rep)
 	}
-	return show(o, g, m, s, rep)
+	return show(o, g, m, s, rep, tr)
 }
 
 // runBatch schedules every input unit over the engine's worker pool with the
@@ -396,40 +401,7 @@ func writeTraceFile(path string, tr *obs.Trace) error {
 	return nil
 }
 
-// showTrace runs the convergent scheduler directly (the per-pass trace only
-// exists inside core.Schedule) with panic isolation but no ladder.
-func showTrace(o options, g *ir.Graph, m *machine.Model) error {
-	if o.scheduler != "convergent" {
-		return fmt.Errorf("-show trace requires -scheduler convergent")
-	}
-	if o.chaos != "" {
-		return fmt.Errorf("-show trace cannot be combined with -chaos")
-	}
-	seq := passes.ForMachine(m.Name)
-	if o.tuned {
-		seq = passes.TunedForMachine(m.Name)
-	}
-	var res *core.Result
-	s, err := robust.Guard("convergent", func() (*schedule.Schedule, error) {
-		s, r, err := core.Schedule(g, m, seq, o.seed)
-		res = r
-		return s, err
-	})
-	if err != nil {
-		return err
-	}
-	if o.verify {
-		if _, err := sim.Verify(s, sim.NewMemory()); err != nil {
-			return fmt.Errorf("verification failed: %w", err)
-		}
-	}
-	for _, pc := range res.Trace {
-		fmt.Printf("%-10s changed %5.1f%% of preferred clusters\n", pc.Pass, 100*pc.Fraction)
-	}
-	return nil
-}
-
-func show(o options, g *ir.Graph, m *machine.Model, s *schedule.Schedule, rep *robust.Report) error {
+func show(o options, g *ir.Graph, m *machine.Model, s *schedule.Schedule, rep *robust.Report, tr *obs.Trace) error {
 	switch o.show {
 	case "stats":
 		st := g.ComputeStats()
@@ -453,6 +425,14 @@ func show(o options, g *ir.Graph, m *machine.Model, s *schedule.Schedule, rep *r
 		fmt.Print(g.DOT())
 	case "report":
 		fmt.Print(rep)
+	case "trace":
+		// A degraded request also traced its failed rungs' passes; the
+		// churn that matters is the serving rung's.
+		for _, d := range tr.Snapshot().Passes {
+			if d.Rung == rep.Served {
+				fmt.Printf("%-10s changed %5.1f%% of preferred clusters\n", d.Pass, 100*d.Fraction)
+			}
+		}
 	default:
 		return fmt.Errorf("unknown -show %q", o.show)
 	}

@@ -8,12 +8,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/passes"
 	"repro/internal/sim"
 )
@@ -41,14 +43,16 @@ func main() {
 	m := machine.Raw(4)
 	fmt.Printf("graph: %s\n", g.ComputeStats())
 
-	// Converge the preferences with the published Raw pass sequence.
-	sched, res, err := core.Schedule(g, m, passes.RawSequence(), 2002)
+	// Converge the preferences with the published Raw pass sequence; the
+	// trace records what each pass did to the preference map.
+	tr := obs.NewTrace(g.Name, m.Name)
+	sched, _, err := core.ScheduleCtx(obs.WithTrace(context.Background(), tr), g, m, passes.RawSequence(), 2002)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("\npass trace (fraction of instructions whose preferred tile changed):")
-	for _, pc := range res.Trace {
-		fmt.Printf("  %-10s %5.1f%%\n", pc.Pass, 100*pc.Fraction)
+	for _, d := range tr.Passes {
+		fmt.Printf("  %-10s %5.1f%%\n", d.Pass, 100*d.Fraction)
 	}
 
 	fmt.Printf("\nschedule: %d cycles, %d communications\n", sched.Length(), sched.CommCount())

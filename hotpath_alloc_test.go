@@ -9,6 +9,7 @@ package repro
 // silently eroding the rewrite.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bench"
@@ -46,7 +47,7 @@ func TestRunPassesZeroAllocs(t *testing.T) {
 				// demand) drift across runs, so give the high-water marks a
 				// few runs to settle before measuring.
 				for i := 0; i < 5; i++ {
-					core.RunPasses(s, seq)
+					core.RunPasses(context.Background(), s, seq)
 				}
 				// The per-source distance cache fills on demand, and which
 				// sources the passes consult drifts with the weights; fill
@@ -56,7 +57,7 @@ func TestRunPassesZeroAllocs(t *testing.T) {
 					s.Distances(i)
 				}
 				avg := testing.AllocsPerRun(10, func() {
-					core.RunPasses(s, seq)
+					core.RunPasses(context.Background(), s, seq)
 				})
 				if avg != 0 {
 					t.Errorf("warm RunPasses allocates %.1f times per run, want 0", avg)

@@ -14,68 +14,52 @@ import (
 	"repro/internal/schedule"
 )
 
-// PassChange records what one pass did to the spatial assignment, the
-// instrumentation behind the paper's Figures 7 and 9.
-type PassChange struct {
-	// Pass is the pass name.
-	Pass string
-	// Changed is the number of instructions whose preferred cluster
-	// differs after the pass.
-	Changed int
-	// Fraction is Changed divided by the instruction count (zero for an
-	// empty graph).
-	Fraction float64
-}
-
-// Result is the outcome of running a convergent-pass sequence.
+// Result is the converged preferences list scheduling reads.
 type Result struct {
 	// Assignment is the preferred cluster per instruction.
 	Assignment []int
 	// PreferredTime is the preferred time slot per instruction; it feeds
 	// the list scheduler as priority.
 	PreferredTime []int
-	// Confidence is the final spatial confidence per instruction.
-	Confidence []float64
-	// Trace records the per-pass spatial churn, in pass order.
-	Trace []PassChange
 }
 
-// Priority converts the preferred times into a listsched priority (smaller
-// issues first).
-func (r *Result) Priority() []float64 {
-	p := make([]float64, len(r.PreferredTime))
-	for i, t := range r.PreferredTime {
-		p[i] = float64(t)
+// RunPasses is the convergent loop: each pass runs over the state and is
+// followed by renormalization. A trace carried by the context receives one
+// PassDelta per pass — the per-pass churn behind the paper's Figures 7 and
+// 9 — and recording only reads the map, so traced and untraced runs leave
+// byte-identical states. RunPasses rewinds the state's scratch arena;
+// untraced, it performs no heap allocations once the state is warm (arena
+// and caches at their high-water marks), which the allocation-regression
+// tests pin at zero allocs/op.
+func RunPasses(ctx context.Context, s *State, passes []Pass) {
+	sc := s.Scratch()
+	sc.Rewind()
+	tr := obs.FromContext(ctx)
+	if tr == nil {
+		for _, p := range passes {
+			p.Run(s)
+			s.W.NormalizeAll()
+		}
+		return
 	}
-	return p
-}
-
-// Converge runs the pass sequence over a fresh state and returns the
-// converged preferences. The seed fixes the noise pass; every other pass is
-// deterministic. The weight-map invariants are restored after every pass.
-//
-// The state is drawn from an internal pool and returned to it before
-// Converge returns; the Result never aliases pooled memory. The pooled path
-// is proven byte-identical to a fresh NewState + ConvergeStateCtx run by the
-// differential harness at the repository root.
-func Converge(g *ir.Graph, m *machine.Model, passes []Pass, seed int64) *Result {
-	s := newPooledState(g, m, seed)
-	res := ConvergeStateCtx(context.Background(), s, passes)
-	s.release()
-	return res
-}
-
-// RunPasses runs the pass sequence over the state — each pass followed by
-// renormalization, exactly the loop ConvergeStateCtx runs — without churn
-// tracking or result construction. It rewinds the state's scratch arena and
-// performs no heap allocations once the state is warm (arena and caches at
-// their high-water marks); the allocation-regression tests pin this at zero
-// allocs/op.
-func RunPasses(s *State, passes []Pass) {
-	s.Scratch().Rewind()
+	rung := obs.RungFromContext(ctx)
+	n := s.Graph.Len()
+	// The churn trackers live in the scratch arena alongside whatever the
+	// passes draw; the next run's rewind releases them together.
+	prev := s.W.PreferredClustersInto(sc.Ints(n))
+	cur := sc.Ints(n)
+	before := clusterMarginals(s.W)
 	for _, p := range passes {
 		p.Run(s)
 		s.W.NormalizeAll()
+		s.W.PreferredClustersInto(cur)
+		after := clusterMarginals(s.W)
+		d := passDelta(s.W, before, after, prev, cur)
+		d.Rung = rung
+		d.Pass = p.Name()
+		tr.RecordPass(d)
+		before = after
+		prev, cur = cur, prev
 	}
 }
 
@@ -102,6 +86,11 @@ func clusterMarginals(w *PrefMap) [][]float64 {
 func passDelta(w *PrefMap, before, after [][]float64, prev, cur []int) obs.PassDelta {
 	n := w.N()
 	d := obs.PassDelta{}
+	for i := range cur {
+		if cur[i] != prev[i] {
+			d.Changed++
+		}
+	}
 	type shift struct {
 		instr int
 		l1    float64
@@ -128,6 +117,7 @@ func passDelta(w *PrefMap, before, after [][]float64, prev, cur []int) obs.PassD
 		d.MaxTotal = math.Max(d.MaxTotal, t)
 	}
 	if n > 0 {
+		d.Fraction = float64(d.Changed) / float64(n)
 		d.MeanEntropy /= float64(n)
 	} else {
 		d.MinTotal, d.MaxTotal = 1, 1
@@ -145,61 +135,14 @@ func passDelta(w *PrefMap, before, after [][]float64, prev, cur []int) obs.PassD
 	return d
 }
 
-// ConvergeStateCtx runs the pass sequence on a caller-built state, allowing
-// callers to pre-bias the map or reuse analyses. A trace carried by the
-// context receives one PassDelta per pass; without one the loop is exactly
-// the untraced path (recording only reads the map, so traced and untraced
-// runs produce byte-identical results either way).
-func ConvergeStateCtx(ctx context.Context, s *State, passes []Pass) *Result {
-	tr := obs.FromContext(ctx)
-	rung := obs.RungFromContext(ctx)
-	n := s.Graph.Len()
-	// The churn trackers live in the scratch arena alongside whatever the
-	// passes draw; everything is released together by the rewind at the
-	// start of the next run. Result fields are always freshly allocated —
-	// they outlive the (possibly pooled) state.
-	sc := s.Scratch()
-	sc.Rewind()
-	prev := s.W.PreferredClustersInto(sc.Ints(n))
-	cur := sc.Ints(n)
-	res := &Result{Trace: make([]PassChange, 0, len(passes))}
-	var before [][]float64
-	if tr != nil {
-		before = clusterMarginals(s.W)
-	}
-	for _, p := range passes {
-		p.Run(s)
-		s.W.NormalizeAll()
-		s.W.PreferredClustersInto(cur)
-		changed := 0
-		for i := range cur {
-			if cur[i] != prev[i] {
-				changed++
-			}
-		}
-		frac := 0.0
-		if n > 0 {
-			frac = float64(changed) / float64(n)
-		}
-		res.Trace = append(res.Trace, PassChange{Pass: p.Name(), Changed: changed, Fraction: frac})
-		if tr != nil {
-			after := clusterMarginals(s.W)
-			d := passDelta(s.W, before, after, prev, cur)
-			d.Rung = rung
-			d.Pass = p.Name()
-			d.Changed = changed
-			d.Fraction = frac
-			tr.RecordPass(d)
-			before = after
-		}
-		prev, cur = cur, prev
-	}
-	res.Assignment = make([]int, n)
-	copy(res.Assignment, prev)
-	res.PreferredTime = s.W.PreferredTimes()
-	res.Confidence = make([]float64, n)
-	for i := 0; i < n; i++ {
-		res.Confidence[i] = s.W.Confidence(i)
+// converge runs the pass sequence on s and reads off the converged
+// preferences. The Result is freshly allocated: it outlives the (possibly
+// pooled) state.
+func converge(ctx context.Context, s *State, passes []Pass) *Result {
+	RunPasses(ctx, s, passes)
+	res := &Result{
+		Assignment:    s.W.PreferredClustersInto(make([]int, s.Graph.Len())),
+		PreferredTime: s.W.PreferredTimes(),
 	}
 	// Preplacement is a correctness constraint; PLACE biases hard toward
 	// it, but the final assignment must honour it even if a later pass
@@ -220,8 +163,10 @@ func Schedule(g *ir.Graph, m *machine.Model, passes []Pass, seed int64) (*schedu
 }
 
 // ScheduleCtx is Schedule with a context; a trace carried by the context
-// records per-pass preference-map deltas during convergence. Like
-// Converge it runs on a pooled state, released before returning.
+// records per-pass preference-map deltas during convergence. It runs on a
+// state drawn from an internal pool and released before returning; the
+// differential harness at the repository root proves that path
+// byte-identical to a fresh NewState + ScheduleState run.
 func ScheduleCtx(ctx context.Context, g *ir.Graph, m *machine.Model, passes []Pass, seed int64) (*schedule.Schedule, *Result, error) {
 	if err := listsched.CheckGraph(g, m); err != nil {
 		return nil, nil, err
@@ -244,9 +189,8 @@ func ScheduleState(ctx context.Context, s *State, passes []Pass) (*schedule.Sche
 // scheduleState converges preferences on s and list-schedules the result.
 func scheduleState(ctx context.Context, s *State, passes []Pass) (*schedule.Schedule, *Result, error) {
 	g, m := s.Graph, s.Machine
-	res := ConvergeStateCtx(ctx, s, passes)
+	res := converge(ctx, s, passes)
 	listsched.SpreadConsts(g, m, res.Assignment)
-	prio := res.Priority()
 	h := g.Height(m.LatencyFunc())
 	maxH := 1
 	for _, v := range h {
@@ -254,10 +198,11 @@ func scheduleState(ctx context.Context, s *State, passes []Pass) (*schedule.Sche
 			maxH = v
 		}
 	}
-	for i := range prio {
-		// Strictly smaller than 1, so it only ever breaks ties
-		// between equal preferred times.
-		prio[i] -= float64(h[i]) / float64(maxH+1)
+	prio := make([]float64, len(res.PreferredTime))
+	for i, t := range res.PreferredTime {
+		// The height term is strictly smaller than 1, so it only ever
+		// breaks ties between equal preferred times.
+		prio[i] = float64(t) - float64(h[i])/float64(maxH+1)
 	}
 	sched, err := listsched.Run(g, m, listsched.Options{
 		Assignment: res.Assignment,

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/obs"
 )
 
 // forceCluster is a test pass that slams every instruction onto one cluster.
@@ -65,13 +67,15 @@ func TestLoadsSumToInstructionCount(t *testing.T) {
 func TestConvergeTraceAndInvariants(t *testing.T) {
 	g := smallGraph()
 	m := machine.Raw(2)
-	res := Converge(g, m, []Pass{forceCluster{1}, forceCluster{0}}, 7)
-	if len(res.Trace) != 2 {
-		t.Fatalf("Trace has %d entries", len(res.Trace))
+	tr := obs.NewTrace(g.Name, m.Name)
+	ctx := obs.WithTrace(context.Background(), tr)
+	res := converge(ctx, NewState(g, m, 7), []Pass{forceCluster{1}, forceCluster{0}})
+	if len(tr.Passes) != 2 {
+		t.Fatalf("Trace has %d entries", len(tr.Passes))
 	}
 	// First pass moves everything from default cluster 0 to 1.
-	if res.Trace[0].Changed != 3 || res.Trace[0].Fraction != 1.0 {
-		t.Errorf("Trace[0] = %+v", res.Trace[0])
+	if d := tr.Passes[0]; d.Pass != "FORCE" || d.Changed != 3 || d.Fraction != 1.0 {
+		t.Errorf("Trace[0] = %+v", d)
 	}
 	// Second pass moves it back (1000x vs the first pass's bias is not
 	// enough to flip alone — it multiplies on top, so cluster 0 ends up
@@ -92,7 +96,7 @@ func TestConvergeHonoursPreplacementUnconditionally(t *testing.T) {
 	m := machine.Raw(2)
 	// A hostile pass pushes everything to cluster 0; the driver must
 	// still pin the preplaced instruction to its home.
-	res := Converge(g, m, []Pass{forceCluster{0}}, 1)
+	res := converge(context.Background(), NewState(g, m, 1), []Pass{forceCluster{0}})
 	if res.Assignment[a.ID] != 1 {
 		t.Errorf("preplaced instruction assigned to %d", res.Assignment[a.ID])
 	}
@@ -108,8 +112,8 @@ func TestConvergeDeterministicForSeed(t *testing.T) {
 			})
 		}
 	}}
-	a := Converge(g, m, []Pass{noise}, 42)
-	b := Converge(g, m, []Pass{noise}, 42)
+	a := converge(context.Background(), NewState(g, m, 42), []Pass{noise})
+	b := converge(context.Background(), NewState(g, m, 42), []Pass{noise})
 	for i := range a.Assignment {
 		if a.Assignment[i] != b.Assignment[i] {
 			t.Fatalf("same seed diverged: %v vs %v", a.Assignment, b.Assignment)
@@ -131,14 +135,6 @@ func TestScheduleEndToEnd(t *testing.T) {
 		if c != res.Assignment[i] {
 			t.Errorf("schedule cluster %d != converged %d", c, res.Assignment[i])
 		}
-	}
-}
-
-func TestResultPriority(t *testing.T) {
-	r := &Result{PreferredTime: []int{3, 0, 2}}
-	p := r.Priority()
-	if p[0] != 3 || p[1] != 0 || p[2] != 2 {
-		t.Errorf("Priority = %v", p)
 	}
 }
 

@@ -1,11 +1,13 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/passes"
 )
 
@@ -60,8 +62,12 @@ func ExamplePassFunc() {
 	}}
 	g := ir.New("tiny")
 	g.AddConst(7)
-	res := core.Converge(g, machine.Raw(4), []core.Pass{first}, 1)
-	fmt.Printf("%s moved %d instruction(s)\n", first.Name(), res.Trace[0].Changed)
+	tr := obs.NewTrace(g.Name, "raw4")
+	_, res, err := core.ScheduleCtx(obs.WithTrace(context.Background(), tr), g, machine.Raw(4), []core.Pass{first}, 1)
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("%s moved %d instruction(s)\n", first.Name(), tr.Passes[0].Changed)
 	fmt.Printf("assignment: %v\n", res.Assignment)
 	// Output:
 	// MYFIRST moved 0 instruction(s)

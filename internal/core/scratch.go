@@ -4,7 +4,7 @@ import "sync"
 
 // Scratch is the per-driver scratch arena behind the zero-allocation hot
 // path. Every buffer a convergent pass (or the driver loop itself) needs for
-// one Converge run is carved out of three grow-only backing arrays — ints,
+// one RunPasses run is carved out of three grow-only backing arrays — ints,
 // floats, bools — plus a small set of reusable append-slices. The arena is
 // rewound (not freed) at the start of each run, so once the backing arrays
 // have grown to a workload's high-water mark the entire pass loop performs
@@ -17,7 +17,7 @@ import "sync"
 //     calls; anything that outlives the run (Result fields, obs records)
 //     must be copied into freshly allocated memory.
 //   - One Scratch serves exactly one State at a time. States acquired
-//     through the package pool return their scratch when Release is called;
+//     through the package pool return their scratch when release is called;
 //     an abandoned ladder attempt (internal/robust) keeps its scratch until
 //     its goroutine finishes, so a rung timing out can never hand its
 //     buffers to a concurrent rung.

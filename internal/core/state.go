@@ -53,7 +53,7 @@ type State struct {
 // m. The random source is seeded with seed so runs are reproducible.
 //
 // NewState always allocates fresh backing arrays; the driver entry points
-// (Converge, Schedule) use a recycled state from an internal pool instead.
+// (Schedule, ScheduleCtx) use a recycled state from an internal pool instead.
 // The two are proven byte-identical by the differential harness.
 func NewState(g *ir.Graph, m *machine.Model, seed int64) *State {
 	s := &State{sc: NewScratch()}

@@ -238,14 +238,15 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 		mine = s
 		ent := canonicalize(s, rep.Served, canon)
 		// The graph and machine references make the entry exportable to a
-		// cluster peer (export.go); they do not affect rehydration.
+		// cluster peer and the store (export.go); they do not affect
+		// rehydration.
 		ent.graph, ent.mach = job.Graph, job.Machine
 		// A result produced while a circuit breaker skipped a rung is
 		// load-dependent, not content-determined: it is shared with the
 		// flight's waiters but never memoized (nor persisted).
 		if !rep.Skipped() {
 			e.cache.put(key, ent)
-			e.enqueuePersist(key, ent, job.Graph, job.Machine)
+			e.enqueuePersist(key, ent)
 			if e.persist != nil {
 				tr.SetPersisted()
 			}

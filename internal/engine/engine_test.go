@@ -155,7 +155,7 @@ func TestCustomLadderUncacheableWithoutID(t *testing.T) {
 		ID:      "custom",
 		Graph:   k.Build(4),
 		Machine: m,
-		Opts: robust.Options{Ladder: []robust.Rung{robust.ConvergentRung("convergent", m, seq, testSeed)}},
+		Opts:    robust.Options{Ladder: []robust.Rung{robust.ConvergentRung("convergent", m, seq, testSeed)}},
 	}
 	for i := 0; i < 2; i++ {
 		if r := e.Schedule(context.Background(), custom); r.Err != nil || r.CacheHit {

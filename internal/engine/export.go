@@ -37,10 +37,11 @@ func (e *Engine) HasCached(key string) bool {
 	return ok
 }
 
-// exportRecord builds the wire form of one cache entry. The exportability
-// rule is the persister's: the machine must be reconstructible from its name
-// with an unchanged fingerprint, because that is what the importer's gate
-// re-derives. Entries computed for custom or mutated models stay local.
+// exportRecord builds the wire form of one cache entry, for a peer and for
+// the write-behind flusher alike. The machine must be reconstructible from
+// its name with an unchanged fingerprint, because that is what the
+// importer's gate and recovery replay re-derive. Entries computed for custom
+// or mutated models stay local and in RAM.
 func exportRecord(key string, ent entry) (*store.Record, bool) {
 	if ent.graph == nil || ent.mach == nil || ent.mach.Name == "" {
 		return nil, false
@@ -108,6 +109,6 @@ func (e *Engine) ImportRecord(rec *store.Record) error {
 		return err
 	}
 	e.cache.put(string(rec.Key), ent)
-	e.enqueuePersist(string(rec.Key), ent, ent.graph, ent.mach)
+	e.enqueuePersist(string(rec.Key), ent)
 	return nil
 }

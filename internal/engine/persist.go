@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/ir"
 	"repro/internal/irtext"
 	"repro/internal/machine"
 	"repro/internal/store"
@@ -75,8 +74,6 @@ type PersistStats struct {
 type persistReq struct {
 	key string
 	ent entry
-	g   *ir.Graph
-	m   *machine.Model
 	ack chan struct{}
 }
 
@@ -96,7 +93,6 @@ type persister struct {
 	flushErrs    uint64
 	backpressure uint64
 	skipped      uint64
-	fingerprints map[string][32]byte // named-machine fingerprint cache
 }
 
 // AttachStore opens the persistent schedule store (directory, lockfile) and
@@ -128,11 +124,10 @@ func (e *Engine) AttachStore(cfg PersistConfig) error {
 		logf = func(string, ...any) {}
 	}
 	e.persist = &persister{
-		st:           st,
-		logf:         logf,
-		ch:           make(chan persistReq, cfg.QueueLen),
-		done:         make(chan struct{}),
-		fingerprints: make(map[string][32]byte),
+		st:   st,
+		logf: logf,
+		ch:   make(chan persistReq, cfg.QueueLen),
+		done: make(chan struct{}),
 	}
 	return nil
 }
@@ -210,7 +205,7 @@ func (e *Engine) loadRecord(rec *store.Record) error {
 
 // enqueuePersist hands an accepted cache entry to the flusher without
 // blocking the scheduling path. A full queue drops the entry and counts it.
-func (e *Engine) enqueuePersist(key string, ent entry, g *ir.Graph, m *machine.Model) {
+func (e *Engine) enqueuePersist(key string, ent entry) {
 	p := e.persist
 	if p == nil {
 		return
@@ -221,7 +216,7 @@ func (e *Engine) enqueuePersist(key string, ent entry, g *ir.Graph, m *machine.M
 		return
 	}
 	select {
-	case p.ch <- persistReq{key: key, ent: ent, g: g, m: m}:
+	case p.ch <- persistReq{key: key, ent: ent}:
 	default:
 		p.backpressure++
 	}
@@ -336,7 +331,7 @@ func (p *persister) run() {
 			close(req.ack)
 			continue
 		}
-		rec, persistable := p.record(req)
+		rec, persistable := exportRecord(req.key, req.ent)
 		if !persistable {
 			p.count(&p.skipped)
 			continue
@@ -349,42 +344,6 @@ func (p *persister) run() {
 		p.count(&p.flushed)
 		dirty = true
 	}
-}
-
-// record builds the persisted form of one cache entry. Entries whose machine
-// cannot be rebuilt from its name at recovery (custom or mutated models,
-// detected by fingerprint drift) are not persistable.
-func (p *persister) record(req persistReq) (*store.Record, bool) {
-	name := req.m.Name
-	if name == "" {
-		return nil, false
-	}
-	fp := req.m.Fingerprint()
-	p.mu.Lock()
-	namedFP, known := p.fingerprints[name]
-	p.mu.Unlock()
-	if !known {
-		named, err := machine.Named(name)
-		if err != nil {
-			return nil, false
-		}
-		namedFP = named.Fingerprint()
-		p.mu.Lock()
-		p.fingerprints[name] = namedFP
-		p.mu.Unlock()
-	}
-	if fp != namedFP {
-		return nil, false
-	}
-	return &store.Record{
-		Key:         []byte(req.key),
-		Machine:     name,
-		Fingerprint: fp,
-		Served:      req.ent.served,
-		Graph:       []byte(irtext.String(req.g)),
-		Placements:  req.ent.placements,
-		Comms:       req.ent.comms,
-	}, true
 }
 
 func (p *persister) count(c *uint64) {

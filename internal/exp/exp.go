@@ -18,6 +18,7 @@ import (
 	"repro/internal/ir"
 	"repro/internal/listsched"
 	"repro/internal/machine"
+	"repro/internal/obs"
 	"repro/internal/passes"
 	"repro/internal/robust"
 	"repro/internal/schedule"
@@ -177,11 +178,12 @@ func Convergence(m *machine.Model, suite []bench.Kernel, seq []core.Pass) []Conv
 	var rows []ConvergenceRow
 	for _, k := range suite {
 		g := k.Build(m.NumClusters)
-		res := core.Converge(g, m, seq, Seed)
+		tr := obs.NewTrace(g.Name, m.Name)
+		core.RunPasses(obs.WithTrace(context.Background(), tr), core.NewState(g, m, Seed), seq)
 		row := ConvergenceRow{Benchmark: k.Name}
-		for _, pc := range res.Trace {
-			row.Passes = append(row.Passes, pc.Pass)
-			row.Fractions = append(row.Fractions, pc.Fraction)
+		for _, d := range tr.Passes {
+			row.Passes = append(row.Passes, d.Pass)
+			row.Fractions = append(row.Fractions, d.Fraction)
 		}
 		rows = append(rows, row)
 	}
@@ -333,8 +335,7 @@ func Fig4Frames() (names []string, frames []string) {
 	names = append(names, "initial")
 	frames = append(frames, core.RenderSpace(s.W))
 	for _, p := range passes.VliwSequence() {
-		p.Run(s)
-		s.W.NormalizeAll()
+		core.RunPasses(context.Background(), s, []core.Pass{p})
 		names = append(names, p.Name())
 		frames = append(frames, core.RenderSpace(s.W))
 	}

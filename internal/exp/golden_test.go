@@ -10,9 +10,17 @@ package exp
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/passes"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
@@ -58,6 +66,36 @@ func TestGoldenFig8(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "fig8.golden", RenderFig8(rows))
+}
+
+// TestGoldenConvergence pins Figures 7 and 9 exactly: for every benchmark,
+// the count of instructions whose preferred cluster changed at each pass.
+// The rendered heat map is too coarse to notice a single moved instruction;
+// this golden is not.
+func TestGoldenConvergence(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment")
+	}
+	for _, c := range []struct {
+		golden string
+		m      *machine.Model
+		suite  []bench.Kernel
+		seq    []core.Pass
+	}{
+		{"fig7.golden", machine.Raw(16), bench.RawSuite(), passes.RawSequence()},
+		{"fig9.golden", machine.Chorus(4), bench.VliwSuite(), passes.VliwSequence()},
+	} {
+		var b strings.Builder
+		for ri, r := range Convergence(c.m, c.suite, c.seq) {
+			n := c.suite[ri].Build(c.m.NumClusters).Len()
+			fmt.Fprintf(&b, "%s n=%d", r.Benchmark, n)
+			for pi, p := range r.Passes {
+				fmt.Fprintf(&b, " %s=%d", p, int(math.Round(r.Fractions[pi]*float64(n))))
+			}
+			b.WriteByte('\n')
+		}
+		checkGolden(t, c.golden, b.String())
+	}
 }
 
 // TestGoldenWorkerWidthInvariance schedules Table 2's cheapest slice at

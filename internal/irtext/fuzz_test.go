@@ -30,18 +30,18 @@ memedge 2 4
 	// Malformed seeds steering the fuzzer at the failure classes named in
 	// the parser's error paths.
 	for _, bad := range []string{
-		"0: add %5 %9",         // undefined operands
-		"0: const",             // missing immediate
-		"1: add",               // id out of order
-		"0: frobnicate",        // unknown opcode
-		"0: const 1\nmemedge 1 0", // backward/out-of-range memedge
-		"0: add 3",             // immediate on a non-const
+		"0: add %5 %9",                  // undefined operands
+		"0: const",                      // missing immediate
+		"1: add",                        // id out of order
+		"0: frobnicate",                 // unknown opcode
+		"0: const 1\nmemedge 1 0",       // backward/out-of-range memedge
+		"0: add 3",                      // immediate on a non-const
 		"0: const 99999999999999999999", // immediate overflow
-		"graph",                // header arity
-		"memedge 0",            // memedge arity
-		"0 const 1",            // missing colon
-		"0: load bank=x",       // bad bank
-		"0: add %a %b",         // bad operand syntax
+		"graph",                         // header arity
+		"memedge 0",                     // memedge arity
+		"0 const 1",                     // missing colon
+		"0: load bank=x",                // bad bank
+		"0: add %a %b",                  // bad operand syntax
 	} {
 		f.Add(bad)
 	}
@@ -65,22 +65,22 @@ memedge 2 4
 // they stay errors (not panics) even without a fuzzing run.
 func TestParseMalformedInputs(t *testing.T) {
 	cases := map[string]string{
-		"undefined operand":     "0: add %5 %9",
-		"self operand":          "0: add %0 %0",
-		"missing immediate":     "0: const",
-		"unknown opcode":        "0: frobnicate",
-		"backward memedge":      "0: const 1\n1: const 2\nmemedge 1 0",
-		"out-of-range memedge":  "0: const 1\nmemedge 0 5",
-		"bad arity store":       "0: const 1\n1: store %0",
-		"immediate on add":      "0: const 1\n1: const 2\n2: add %0 %1 3",
-		"double immediate":      "0: const 1 2",
-		"id out of order":       "5: const 1",
-		"missing colon":         "0 const 1",
-		"bad bank":              "0: const 1\n1: load %0 bank=x",
-		"bad home":              "0: const 1 @home=x",
-		"negative operand":      "0: add %-1 %-1",
-		"load without address":  "0: load",
-		"empty graph header":    "graph",
+		"undefined operand":    "0: add %5 %9",
+		"self operand":         "0: add %0 %0",
+		"missing immediate":    "0: const",
+		"unknown opcode":       "0: frobnicate",
+		"backward memedge":     "0: const 1\n1: const 2\nmemedge 1 0",
+		"out-of-range memedge": "0: const 1\nmemedge 0 5",
+		"bad arity store":      "0: const 1\n1: store %0",
+		"immediate on add":     "0: const 1\n1: const 2\n2: add %0 %1 3",
+		"double immediate":     "0: const 1 2",
+		"id out of order":      "5: const 1",
+		"missing colon":        "0 const 1",
+		"bad bank":             "0: const 1\n1: load %0 bank=x",
+		"bad home":             "0: const 1 @home=x",
+		"negative operand":     "0: add %-1 %-1",
+		"load without address": "0: load",
+		"empty graph header":   "graph",
 	}
 	for label, in := range cases {
 		if _, err := irtext.ParseString(in); err == nil {

@@ -66,20 +66,6 @@ func NewTables(g *ir.Graph, m *machine.Model) *Tables {
 // it directly; it is complete once every instruction is placed.
 func (t *Tables) Schedule() *schedule.Schedule { return t.sched }
 
-// Placed reports whether instruction i has been placed.
-func (t *Tables) Placed(i int) bool { return t.placed[i] }
-
-// PlacedCount returns how many instructions have been placed.
-func (t *Tables) PlacedCount() int {
-	n := 0
-	for _, p := range t.placed {
-		if p {
-			n++
-		}
-	}
-	return n
-}
-
 // FUFree reports whether the functional unit is unreserved at the cycle.
 func (t *Tables) FUFree(cluster, fu, cycle int) bool {
 	return !t.fuBusy[fuSlot{cluster, fu, cycle}]

@@ -31,7 +31,7 @@ var DefBuckets = []float64{
 // atomicFloat is a float64 with atomic add/set/load via bit casting.
 type atomicFloat struct{ bits atomic.Uint64 }
 
-func (f *atomicFloat) load() float64 { return math.Float64frombits(f.bits.Load()) }
+func (f *atomicFloat) load() float64   { return math.Float64frombits(f.bits.Load()) }
 func (f *atomicFloat) store(v float64) { f.bits.Store(math.Float64bits(v)) }
 func (f *atomicFloat) add(d float64) {
 	for {

@@ -232,26 +232,6 @@ func (t *Trace) MarshalJSON() ([]byte, error) {
 	return json.Marshal((*plain)(snap))
 }
 
-// tenantKey is the context key for the request's tenant identity.
-type tenantKey struct{}
-
-// WithTenant returns a context carrying the request's tenant identity, so
-// layers below admission (engine, robust driver, logs) can attribute work
-// without threading a parameter through every signature.
-func WithTenant(ctx context.Context, tenant string) context.Context {
-	return context.WithValue(ctx, tenantKey{}, tenant)
-}
-
-// TenantFrom returns the context's tenant identity, or "" when the request
-// did not pass through tenant-aware admission.
-func TenantFrom(ctx context.Context) string {
-	if ctx == nil {
-		return ""
-	}
-	t, _ := ctx.Value(tenantKey{}).(string)
-	return t
-}
-
 // traceKey is the context key for the request trace; rungKey labels which
 // ladder rung the traced code is running under.
 type traceKey struct{}

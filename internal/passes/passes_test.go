@@ -459,7 +459,10 @@ func TestQuickSequencesProduceLegalAssignments(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(rng, 10+rng.Intn(30), 4, 4)
-		res := core.Converge(g, machine.Raw(4), RawSequence(), seed)
+		_, res, err := core.Schedule(g, machine.Raw(4), RawSequence(), seed)
+		if err != nil {
+			return false
+		}
 		for i, c := range res.Assignment {
 			if c < 0 || c >= 4 {
 				return false

@@ -374,9 +374,9 @@ type scheduleResponse struct {
 	// PeerHit says the serving cache entry was fetched from the previous
 	// ring owner (through the legality gate) rather than computed or found
 	// locally; it always rides with CacheHit.
-	PeerHit bool `json:"peerHit,omitempty"`
-	Attempts   []attemptJSON   `json:"attempts,omitempty"`
-	ElapsedMs  float64         `json:"elapsedMs"`
+	PeerHit   bool          `json:"peerHit,omitempty"`
+	Attempts  []attemptJSON `json:"attempts,omitempty"`
+	ElapsedMs float64       `json:"elapsedMs"`
 	// Trace is the request's full observability record, present when the
 	// request asked for ?trace=1.
 	Trace *obs.Trace `json:"trace,omitempty"`
@@ -765,9 +765,6 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		tr.SetTenant(req.tenant, req.class)
 		s.metrics.tracedRequests.Inc()
 	}
-	// The tenant rides the context through the engine/robust path so any
-	// layer below (logs, future per-tenant scheduling policy) can see it.
-	ctx = obs.WithTenant(ctx, req.tenant)
 	job := engine.Job{
 		ID:      g.Name,
 		Graph:   g,
