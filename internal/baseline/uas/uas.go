@@ -9,7 +9,6 @@ package uas
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/ir"
 	"repro/internal/listsched"
@@ -35,16 +34,7 @@ func Schedule(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
 			candidates = append(candidates, i)
 		}
 	}
-	sortCandidates := func() {
-		sort.Slice(candidates, func(a, b int) bool {
-			ia, ib := candidates[a], candidates[b]
-			if prio[ia] != prio[ib] {
-				return prio[ia] < prio[ib]
-			}
-			return ia < ib
-		})
-	}
-	sortCandidates()
+	listsched.SortByPriority(candidates, prio)
 
 	placed := 0
 	bound := 16
@@ -89,7 +79,7 @@ func Schedule(g *ir.Graph, m *machine.Model) (*schedule.Schedule, error) {
 			}
 		}
 		if len(newly) > 0 {
-			sortCandidates()
+			listsched.SortByPriority(candidates, prio)
 		}
 	}
 	s := t.Schedule()

@@ -2,7 +2,7 @@ package listsched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -31,6 +31,20 @@ func CriticalPathPriority(g *ir.Graph, m *machine.Model) []float64 {
 		p[i] = -float64(v)
 	}
 	return p
+}
+
+// SortByPriority orders instruction IDs by ascending priority, breaking
+// ties by ID: the issue order of the cycle-driven schedulers.
+func SortByPriority(ids []int, prio []float64) {
+	slices.SortFunc(ids, func(a, b int) int {
+		if prio[a] != prio[b] {
+			if prio[a] < prio[b] {
+				return -1
+			}
+			return 1
+		}
+		return a - b
+	})
 }
 
 // CheckAssignment verifies that an assignment is complete and legal for the
@@ -91,16 +105,7 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 			candidates = append(candidates, i)
 		}
 	}
-	sortCandidates := func() {
-		sort.Slice(candidates, func(a, b int) bool {
-			ia, ib := candidates[a], candidates[b]
-			if prio[ia] != prio[ib] {
-				return prio[ia] < prio[ib]
-			}
-			return ia < ib
-		})
-	}
-	sortCandidates()
+	SortByPriority(candidates, prio)
 
 	placedTotal := 0
 	// Generous upper bound on schedule length: serial execution plus a
@@ -155,7 +160,7 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 			}
 		}
 		if progressed || len(newlyPlaced) > 0 {
-			sortCandidates()
+			SortByPriority(candidates, prio)
 		}
 	}
 	sched := t.Schedule()

@@ -17,28 +17,35 @@ import (
 // Tables tracks resource reservations and value arrivals while a schedule is
 // being built. All schedulers in this repository build schedules through
 // Tables, so they compete under identical rules.
+//
+// Reservations live in dense cycle-indexed rows grown on demand; a read
+// past the last row means free. Nothing is ever released, which is what
+// makes the injection skip index (see nextInject) exact.
 type Tables struct {
 	g *ir.Graph
 	m *machine.Model
 
 	sched *schedule.Schedule
 
-	placed []bool
-	// arrival[v] maps cluster -> first cycle value v is usable there.
-	arrival []map[int]int
-
-	fuBusy map[fuSlot]bool
-	send   map[portSlot]int
-	recv   map[portSlot]int
-	links  map[linkSlot]bool
+	nc, nf int // clusters, functional units per cluster
+	nl     int // dense mesh-link IDs (see linkID); 0 on crossbars
 	xfer   int
-}
 
-type fuSlot struct{ cluster, fu, cycle int }
-type portSlot struct{ cluster, cycle int }
-type linkSlot struct {
-	link  machine.Link
-	cycle int
+	placed []bool
+	// arrival[v*nc+c] is the first cycle value v is usable on cluster c,
+	// or -1 if it is not there.
+	arrival []int32
+
+	// rows is the number of cycles every row below covers.
+	rows   int
+	fuBusy []bool  // (cycle*nc+cluster)*nf + fu
+	send   []int32 // cycle*nc + cluster
+	recv   []int32 // cycle*nc + cluster
+	links  []bool  // cycle*nl + linkID
+	// inject[cycle*nc+c] is cycle itself while cluster c may still be
+	// able to inject a value then, and otherwise a later cycle no later
+	// than the next one at which it may: a path-compressed "next" array.
+	inject []int32
 }
 
 // NewTables returns empty reservation tables building a schedule for g on m.
@@ -48,18 +55,39 @@ func NewTables(g *ir.Graph, m *machine.Model) *Tables {
 		g:       g,
 		m:       m,
 		sched:   schedule.New(g, m),
-		placed:  make([]bool, g.Len()),
-		arrival: make([]map[int]int, g.Len()),
-		fuBusy:  make(map[fuSlot]bool),
-		send:    make(map[portSlot]int),
-		recv:    make(map[portSlot]int),
-		links:   make(map[linkSlot]bool),
+		nc:      m.NumClusters,
+		nf:      len(m.FUs),
 		xfer:    m.XferFU(),
+		placed:  make([]bool, g.Len()),
+		arrival: make([]int32, g.Len()*m.NumClusters),
+	}
+	if m.LinkLevel() {
+		t.nl = 4 * m.MeshW * m.MeshH
 	}
 	for i := range t.arrival {
-		t.arrival[i] = make(map[int]int)
+		t.arrival[i] = -1
 	}
 	return t
+}
+
+// grow extends every cycle-indexed row to cover the cycle, at least
+// doubling so a schedule pays amortised constant time per cycle.
+func (t *Tables) grow(cycle int) {
+	if cycle < t.rows {
+		return
+	}
+	rows := max(2*t.rows, cycle+1, 64)
+	add := rows - t.rows
+	t.fuBusy = append(t.fuBusy, make([]bool, add*t.nc*t.nf)...)
+	t.send = append(t.send, make([]int32, add*t.nc)...)
+	t.recv = append(t.recv, make([]int32, add*t.nc)...)
+	t.links = append(t.links, make([]bool, add*t.nl)...)
+	for d := t.rows; d < rows; d++ {
+		for c := 0; c < t.nc; c++ {
+			t.inject = append(t.inject, int32(d))
+		}
+	}
+	t.rows = rows
 }
 
 // Schedule returns the schedule under construction. Callers must not mutate
@@ -68,7 +96,7 @@ func (t *Tables) Schedule() *schedule.Schedule { return t.sched }
 
 // FUFree reports whether the functional unit is unreserved at the cycle.
 func (t *Tables) FUFree(cluster, fu, cycle int) bool {
-	return !t.fuBusy[fuSlot{cluster, fu, cycle}]
+	return cycle >= t.rows || !t.fuBusy[(cycle*t.nc+cluster)*t.nf+fu]
 }
 
 // FindFU returns a free functional unit on the cluster able to issue the
@@ -92,14 +120,20 @@ func (t *Tables) Place(i, cluster, fu, start int) {
 	}
 	in := t.g.Instrs[i]
 	lat, ok := t.m.InstrLatency(in, cluster)
-	if !ok {
+	if !ok || cluster < 0 || cluster >= t.nc {
 		panic(fmt.Sprintf("listsched: instruction %d illegal on cluster %d", i, cluster))
 	}
-	key := fuSlot{cluster, fu, start}
-	if t.fuBusy[key] {
+	if fu < 0 || fu >= t.nf || start < 0 {
+		panic(fmt.Sprintf("listsched: instruction %d placed on fu %d cycle %d", i, fu, start))
+	}
+	if !t.FUFree(cluster, fu, start) {
 		panic(fmt.Sprintf("listsched: FU conflict placing %d on cluster %d fu %d cycle %d", i, cluster, fu, start))
 	}
-	t.fuBusy[key] = true
+	t.grow(start)
+	t.fuBusy[(start*t.nc+cluster)*t.nf+fu] = true
+	if fu == t.xfer {
+		t.blockInject(cluster, start)
+	}
 	t.placed[i] = true
 	t.sched.Placements[i] = schedule.Placement{Cluster: cluster, FU: fu, Start: start, Latency: lat}
 	if in.Op.HasResult() {
@@ -108,8 +142,9 @@ func (t *Tables) Place(i, cluster, fu, start int) {
 }
 
 func (t *Tables) noteArrival(v, cluster, cycle int) {
-	if cur, ok := t.arrival[v][cluster]; !ok || cycle < cur {
-		t.arrival[v][cluster] = cycle
+	k := v*t.nc + cluster
+	if cur := t.arrival[k]; cur < 0 || int32(cycle) < cur {
+		t.arrival[k] = int32(cycle)
 	}
 }
 
@@ -121,10 +156,7 @@ func (t *Tables) Arrival(v, cluster int) int {
 	if t.placed[v] && t.g.Instrs[v].Op.IsConst() {
 		return t.ReadyOnHome(v)
 	}
-	if a, ok := t.arrival[v][cluster]; ok {
-		return a
-	}
-	return -1
+	return int(t.arrival[v*t.nc+cluster])
 }
 
 // ReadyOnHome returns the cycle value v is ready on its producing cluster.
@@ -133,25 +165,73 @@ func (t *Tables) ReadyOnHome(v int) int {
 	return t.sched.Placements[v].Ready()
 }
 
+// linkID numbers a mesh link by its source cluster and direction.
+func (t *Tables) linkID(l machine.Link) int {
+	switch l.To - l.From {
+	case 1:
+		return 4 * l.From
+	case -1:
+		return 4*l.From + 1
+	case t.m.MeshW:
+		return 4*l.From + 2
+	}
+	return 4*l.From + 3
+}
+
+// blockInject records that cluster c can no longer inject a value at the
+// cycle: its send ports are full or its transfer unit is taken.
+func (t *Tables) blockInject(c, cycle int) {
+	if k := cycle*t.nc + c; t.inject[k] == int32(cycle) {
+		t.inject[k] = int32(cycle + 1)
+	}
+}
+
+// nextInject returns the first cycle >= d at which cluster c is not known
+// to be unable to inject, compressing the path it followed. Reservations
+// are never released, so a blocked cycle stays blocked and skipping it is
+// exact.
+func (t *Tables) nextInject(c, d int) int {
+	r := d
+	for r < t.rows {
+		next := int(t.inject[r*t.nc+c])
+		if next == r {
+			break
+		}
+		r = next
+	}
+	for d < r {
+		k := d*t.nc + c
+		d = int(t.inject[k])
+		t.inject[k] = int32(r)
+	}
+	return r
+}
+
 // routeSlot finds the earliest depart >= from such that the send port, the
 // transfer unit (if any), every link of the dimension-ordered route and the
-// receive port are all free.
+// receive port are all free. The skip index jumps over departures the
+// source cannot inject at; every condition is still checked where it lands.
 func (t *Tables) routeSlot(src, dst, from int) (depart, arrive int) {
 	lat := t.m.CommLatency(src, dst)
 	route := t.m.Route(src, dst)
+	sendPorts, recvPorts := int32(t.m.SendPorts), int32(t.m.RecvPorts)
 	for d := from; ; d++ {
-		if t.send[portSlot{src, d}] >= t.m.SendPorts {
-			continue
+		d = t.nextInject(src, d)
+		if d < t.rows {
+			k := d*t.nc + src
+			if t.send[k] >= sendPorts {
+				continue
+			}
+			if t.xfer >= 0 && t.fuBusy[k*t.nf+t.xfer] {
+				continue
+			}
 		}
-		if t.xfer >= 0 && !t.FUFree(src, t.xfer, d) {
-			continue
-		}
-		if t.recv[portSlot{dst, d + lat}] >= t.m.RecvPorts {
+		if a := d + lat; a < t.rows && t.recv[a*t.nc+dst] >= recvPorts {
 			continue
 		}
 		blocked := false
 		for hop, l := range route {
-			if t.links[linkSlot{l, d + hop}] {
+			if c := d + hop; c < t.rows && t.links[c*t.nl+t.linkID(l)] {
 				blocked = true
 				break
 			}
@@ -189,13 +269,19 @@ func (t *Tables) Route(v, cluster int) int {
 	}
 	src := t.sched.Placements[v].Cluster
 	depart, arrive := t.routeSlot(src, cluster, t.ReadyOnHome(v))
-	t.send[portSlot{src, depart}]++
-	t.recv[portSlot{cluster, arrive}]++
-	for hop, l := range t.m.Route(src, cluster) {
-		t.links[linkSlot{l, depart + hop}] = true
+	route := t.m.Route(src, cluster)
+	t.grow(max(arrive, depart+len(route)))
+	k := depart*t.nc + src
+	if t.send[k]++; t.send[k] >= int32(t.m.SendPorts) {
+		t.blockInject(src, depart)
+	}
+	t.recv[arrive*t.nc+cluster]++
+	for hop, l := range route {
+		t.links[(depart+hop)*t.nl+t.linkID(l)] = true
 	}
 	if t.xfer >= 0 {
-		t.fuBusy[fuSlot{src, t.xfer, depart}] = true
+		t.fuBusy[k*t.nf+t.xfer] = true
+		t.blockInject(src, depart)
 	}
 	t.sched.Comms = append(t.sched.Comms, schedule.Comm{Value: v, From: src, To: cluster, Depart: depart, Arrive: arrive})
 	t.noteArrival(v, cluster, arrive)
@@ -221,10 +307,11 @@ func (t *Tables) EarliestStart(i, cluster int, commit bool) int {
 		}
 	}
 	// Memory-order predecessors impose lockstep completion ordering but
-	// move no value.
-	for _, e := range t.g.MemEdges() {
-		if e[1] == i {
-			if r := t.ReadyOnHome(e[0]); r > est {
+	// move no value. Preds lists them along with the data predecessors,
+	// whose home readiness never exceeds the arrivals above.
+	if len(t.g.MemEdges()) > 0 {
+		for _, p := range t.g.Preds(i) {
+			if r := t.ReadyOnHome(p); r > est {
 				est = r
 			}
 		}
