@@ -52,14 +52,12 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/ir"
 	"repro/internal/irtext"
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/passes"
 	"repro/internal/robust"
 	"repro/internal/schedule"
 )
@@ -206,8 +204,7 @@ func run(o options, args []string) error {
 	}
 
 	var ladder []robust.Rung
-	switch {
-	case o.chaos != "":
+	if o.chaos != "" {
 		if o.scheduler != "convergent" {
 			return fmt.Errorf("-chaos poisons the convergent ladder; use -scheduler convergent, not %q", o.scheduler)
 		}
@@ -218,20 +215,8 @@ func run(o options, args []string) error {
 		if ladder, err = chaos.Ladder(m, o.seed); err != nil {
 			return fmt.Errorf("%w (see -chaos-list)", err)
 		}
-	case o.tuned && o.fallback:
-		ladder = robust.TunedLadder(m, o.seed)
-	case o.tuned:
-		ladder = []robust.Rung{robust.ConvergentRung("convergent-tuned", m, passes.TunedForMachine(m.Name), o.seed)}
-	case o.fallback:
-		if ladder, err = robust.LadderFor(m, o.scheduler, o.seed); err != nil {
-			return err
-		}
-	default:
-		r, err := robust.RungFor(m, o.scheduler, o.seed)
-		if err != nil {
-			return err
-		}
-		ladder = []robust.Rung{r}
+	} else if ladder, _, err = ladderFor(o, m); err != nil {
+		return err
 	}
 
 	ctx := context.Background()
@@ -244,6 +229,7 @@ func run(o options, args []string) error {
 		Timeout: o.timeout,
 		Verify:  o.verify,
 		Ladder:  ladder,
+		Seed:    o.seed,
 	})
 	// The trace is written even when every rung failed: the recorded pass
 	// deltas and attempts are exactly what explains the failure.
@@ -263,6 +249,32 @@ func run(o options, args []string) error {
 	return show(o, g, m, s, rep, tr)
 }
 
+// ladderFor builds the ladder the options select and its cache identity,
+// for both single-input and batch mode. The convergent fallback ladder is
+// robust's default: it comes back nil with an empty identity, so robust
+// walks DefaultLadder(m, seed) and the engine identifies it itself
+// (robust.DefaultLadderID). Every other identity comes from robust and
+// embeds the pass sequence of each convergent rung.
+func ladderFor(o options, m *machine.Model) ([]robust.Rung, string, error) {
+	switch {
+	case o.tuned && o.fallback:
+		return robust.TunedLadder(m, o.seed), robust.TunedLadderID(m, o.seed), nil
+	case o.tuned:
+		r, id := robust.TunedRung(m, o.seed)
+		return []robust.Rung{r}, id, nil
+	case o.fallback && o.scheduler == "convergent":
+		return nil, "", nil
+	case o.fallback:
+		return robust.LadderFor(m, o.scheduler, o.seed)
+	default:
+		r, id, err := robust.RungFor(m, o.scheduler, o.seed)
+		if err != nil {
+			return nil, "", err
+		}
+		return []robust.Rung{r}, id, nil
+	}
+}
+
 // runBatch schedules every input unit over the engine's worker pool with the
 // content-addressed schedule cache, printing one stats line per unit and a
 // cache summary. Failures are per-unit: a bad graph reports its error and
@@ -275,38 +287,10 @@ func runBatch(o options, m *machine.Model, paths []string) error {
 		return fmt.Errorf("-show %s is a single-input feature; batch mode prints stats", o.show)
 	}
 
-	// The ladder is shared by every unit in the batch. Its cache identity
-	// only has to separate keys within this invocation (the cache dies with
-	// the process), so scheduler name, fallback mode and seed pin it; the
-	// machine's contribution is already in the key via its fingerprint. The
-	// convergent fallback ladder is the driver's default, which the engine
-	// identifies itself (robust.DefaultLadderID) when Ladder is nil.
-	var ladder []robust.Rung
-	var ladderID string
-	switch {
-	case o.tuned && o.fallback:
-		ladder = robust.TunedLadder(m, o.seed)
-		ladderID = robust.TunedLadderID(m, o.seed)
-	case o.tuned:
-		seq := passes.TunedForMachine(m.Name)
-		ladder = []robust.Rung{robust.ConvergentRung("convergent-tuned", m, seq, o.seed)}
-		ladderID = fmt.Sprintf("rung:convergent-tuned[%s]:seed=%d", core.SequenceID(seq), o.seed)
-	case o.fallback && o.scheduler == "convergent":
-		// Leave Ladder nil: robust walks DefaultLadder(m, seed).
-	case o.fallback:
-		l, err := robust.LadderFor(m, o.scheduler, o.seed)
-		if err != nil {
-			return err
-		}
-		ladder = l
-		ladderID = fmt.Sprintf("fallback:%s:seed=%d", o.scheduler, o.seed)
-	default:
-		r, err := robust.RungFor(m, o.scheduler, o.seed)
-		if err != nil {
-			return err
-		}
-		ladder = []robust.Rung{r}
-		ladderID = fmt.Sprintf("rung:%s:seed=%d", o.scheduler, o.seed)
+	// The ladder is shared by every unit in the batch.
+	ladder, ladderID, err := ladderFor(o, m)
+	if err != nil {
+		return err
 	}
 
 	jobs := make([]engine.Job, len(paths))

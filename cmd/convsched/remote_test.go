@@ -91,6 +91,12 @@ func TestRunRemoteErrors(t *testing.T) {
 	}
 
 	o = remoteOpts(ts)
+	o.tuned = true
+	if _, err := capture(t, func() error { return run(o, []string{a}) }); err == nil {
+		t.Error("-tuned with -serve-addr should be rejected")
+	}
+
+	o = remoteOpts(ts)
 	o.show = "schedule"
 	if _, err := capture(t, func() error { return run(o, []string{a}) }); err == nil {
 		t.Error("-show schedule with -serve-addr should be rejected")

@@ -114,7 +114,7 @@ type Gateway struct {
 	quorumFixed bool
 
 	draining atomic.Bool
-	inflight gauge
+	inflight server.InflightGauge
 	rr       atomic.Uint64 // degraded-mode rotation
 
 	requests         atomic.Uint64 // /schedule requests accepted for routing
@@ -238,49 +238,6 @@ func (g *Gateway) Start() { g.prober.start() }
 
 // Handler returns the gateway's HTTP handler.
 func (g *Gateway) Handler() http.Handler { return g.mux }
-
-// gauge counts in-flight requests so a drain can wait for them (the same
-// shape as the server's: WaitGroup forbids Add concurrent with Wait).
-type gauge struct {
-	mu   sync.Mutex
-	cond *sync.Cond
-	n    int
-}
-
-func (g *gauge) enter() {
-	g.mu.Lock()
-	if g.cond == nil {
-		g.cond = sync.NewCond(&g.mu)
-	}
-	g.n++
-	g.mu.Unlock()
-}
-
-func (g *gauge) exit() {
-	g.mu.Lock()
-	g.n--
-	if g.n == 0 {
-		g.cond.Broadcast()
-	}
-	g.mu.Unlock()
-}
-
-func (g *gauge) current() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.n
-}
-
-func (g *gauge) waitZero() {
-	g.mu.Lock()
-	if g.cond == nil {
-		g.cond = sync.NewCond(&g.mu)
-	}
-	for g.n > 0 {
-		g.cond.Wait()
-	}
-	g.mu.Unlock()
-}
 
 // latWindow is a fixed ring of recent delivered-200 latencies; the adaptive
 // hedge budget reads its p95.
@@ -610,8 +567,8 @@ func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request) {
 			message: "POST a .ddg body to /schedule"})
 		return
 	}
-	g.inflight.enter()
-	defer g.inflight.exit()
+	g.inflight.Enter()
+	defer g.inflight.Exit()
 	if g.draining.Load() {
 		g.writeError(w, &gwError{code: http.StatusServiceUnavailable, kind: "draining",
 			message: "gateway is draining; retry against another instance", retry: 1})
@@ -792,7 +749,7 @@ func (g *Gateway) StatsSnapshot() StatsResponse {
 		UptimeSec:        time.Since(g.start).Seconds(),
 		Ready:            !g.draining.Load() && alive >= quorum && alive > 0,
 		Draining:         g.draining.Load(),
-		Inflight:         g.inflight.current(),
+		Inflight:         g.inflight.Current(),
 		Quorum:           quorum,
 		Alive:            alive,
 		Requests:         g.requests.Load(),
@@ -864,7 +821,7 @@ func (g *Gateway) Drain(ctx context.Context) error {
 	g.StartDrain()
 	done := make(chan struct{})
 	go func() {
-		g.inflight.waitZero()
+		g.inflight.WaitZero()
 		close(done)
 	}()
 	var err error

@@ -80,7 +80,7 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 
 		alive.Set(float64(g.aliveCount()))
 		quorum.Set(float64(g.quorumNow()))
-		inflight.Set(float64(g.inflight.current()))
+		inflight.Set(float64(g.inflight.Current()))
 		if g.draining.Load() {
 			draining.Set(1)
 		} else {

@@ -27,7 +27,7 @@ import (
 // rung so reference results are cheap and deterministic.
 func persistJobs(t *testing.T, m *machine.Model, kernels []bench.Kernel, scheduler string) []engine.Job {
 	t.Helper()
-	r, err := robust.RungFor(m, scheduler, diffSeed)
+	r, _, err := robust.RungFor(m, scheduler, diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestWarmRestartMatchesSerial(t *testing.T) {
 // corruption sweep stays cheap.
 func tinyJobs(t *testing.T, m *machine.Model, n int) []engine.Job {
 	t.Helper()
-	r, err := robust.RungFor(m, "list", diffSeed)
+	r, _, err := robust.RungFor(m, "list", diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

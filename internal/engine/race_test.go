@@ -41,7 +41,7 @@ func TestConcurrentOverlappingKeys(t *testing.T) {
 	var computes atomic.Uint64
 	jobFor := func(v variant) Job {
 		g := v.k.Build(v.m.NumClusters)
-		rung, err := robust.RungFor(v.m, "list", 0)
+		rung, _, err := robust.RungFor(v.m, "list", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -122,50 +122,70 @@ func ladder(m *machine.Model, name string, seq []core.Pass, seed int64) []Rung {
 
 // ladderID is the cache identity of ladder(m, name, seq, seed).
 func ladderID(m *machine.Model, name string, seq []core.Pass, seed int64) string {
-	return fmt.Sprintf("%s[%s|seed=%d]>%s-truncated[%s|seed=%d]>%s>list",
-		name, core.SequenceID(seq), seed,
-		name, core.SequenceID(TruncatedSequence(seq)), seed+1,
-		BaselineRung(m).Name)
+	return convergentID(name, seq, seed) + ">" +
+		convergentID(name+"-truncated", TruncatedSequence(seq), seed+1) + ">" +
+		BaselineRung(m).Name + ">list"
+}
+
+// convergentID is the cache identity of ConvergentRung(name, m, seq, seed):
+// the pass-sequence identity and the noise seed.
+func convergentID(name string, seq []core.Pass, seed int64) string {
+	return fmt.Sprintf("%s[%s|seed=%d]", name, core.SequenceID(seq), seed)
+}
+
+// TunedRung is the single convergent rung over the oracle-tuned pass
+// sequence, with its cache identity.
+func TunedRung(m *machine.Model, seed int64) (Rung, string) {
+	seq := passes.TunedForMachine(m.Name)
+	return ConvergentRung("convergent-tuned", m, seq, seed), convergentID("convergent-tuned", seq, seed)
 }
 
 // RungFor returns the single rung for a scheduler name as accepted by
-// cmd/convsched: convergent, rawcc, uas, pcc or list.
-func RungFor(m *machine.Model, scheduler string, seed int64) (Rung, error) {
+// cmd/convsched (convergent, rawcc, uas, pcc or list) and its cache
+// identity. The convergent rung's identity embeds its pass sequence, so a
+// changed sequence can never serve schedules persisted under the old one.
+func RungFor(m *machine.Model, scheduler string, seed int64) (Rung, string, error) {
+	var r Rung
 	switch scheduler {
 	case "convergent":
-		return ConvergentRung("convergent", m, passes.ForMachine(m.Name), seed), nil
+		seq := passes.ForMachine(m.Name)
+		return ConvergentRung("convergent", m, seq, seed), convergentID("convergent", seq, seed), nil
 	case "rawcc":
-		return Rung{Name: "rawcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
+		r = Rung{Name: "rawcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
 			return rawcc.Schedule(g, m)
-		}}, nil
+		}}
 	case "uas":
-		return Rung{Name: "uas", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
+		r = Rung{Name: "uas", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
 			return uas.Schedule(g, m)
-		}}, nil
+		}}
 	case "pcc":
-		return Rung{Name: "pcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
+		r = Rung{Name: "pcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
 			return pcc.Schedule(g, m, pcc.Options{})
-		}}, nil
+		}}
 	case "list":
-		return ListRung(m), nil
+		r = ListRung(m)
+	default:
+		return Rung{}, "", fmt.Errorf("robust: unknown scheduler %q", scheduler)
 	}
-	return Rung{}, fmt.Errorf("robust: unknown scheduler %q", scheduler)
+	// The baselines take no seed and no pass sequence: the name is all.
+	return r, r.Name, nil
 }
 
-// LadderFor builds the ladder whose primary rung is the named scheduler.
-// The convergent primary gets the full default ladder; any other primary
-// degrades straight to the list baseline (falling back from one baseline to
-// another would silently re-label the experiment being run).
-func LadderFor(m *machine.Model, scheduler string, seed int64) ([]Rung, error) {
+// LadderFor builds the ladder whose primary rung is the named scheduler,
+// and its cache identity. The convergent primary gets the full default
+// ladder; any other primary degrades straight to the list baseline (falling
+// back from one baseline to another would silently re-label the experiment
+// being run).
+func LadderFor(m *machine.Model, scheduler string, seed int64) ([]Rung, string, error) {
 	if scheduler == "convergent" {
-		return DefaultLadder(m, seed), nil
+		return DefaultLadder(m, seed), DefaultLadderID(m, seed), nil
 	}
-	primary, err := RungFor(m, scheduler, seed)
+	primary, id, err := RungFor(m, scheduler, seed)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	if scheduler == "list" {
-		return []Rung{primary}, nil
+		return []Rung{primary}, id, nil
 	}
-	return []Rung{primary, ListRung(m)}, nil
+	return []Rung{primary, ListRung(m)}, id + ">list", nil
 }

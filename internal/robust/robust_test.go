@@ -354,7 +354,7 @@ func TestGuard(t *testing.T) {
 func TestLadderFor(t *testing.T) {
 	m := machine.Chorus(4)
 	for name, wantLen := range map[string]int{"convergent": 4, "uas": 2, "pcc": 2, "list": 1} {
-		ladder, err := robust.LadderFor(m, name, 1)
+		ladder, _, err := robust.LadderFor(m, name, 1)
 		if err != nil {
 			t.Errorf("LadderFor(%s): %v", name, err)
 			continue
@@ -363,7 +363,7 @@ func TestLadderFor(t *testing.T) {
 			t.Errorf("LadderFor(%s) has %d rungs, want %d", name, len(ladder), wantLen)
 		}
 	}
-	if _, err := robust.LadderFor(m, "quantum", 1); err == nil {
+	if _, _, err := robust.LadderFor(m, "quantum", 1); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
 }

@@ -239,7 +239,7 @@ func newMetrics(s *Server) *metrics {
 		} else {
 			draining.Set(0)
 		}
-		inflight.Set(float64(s.inflight.current()))
+		inflight.Set(float64(s.inflight.Current()))
 		panics.Set(float64(s.panics.Load()))
 		open := 0
 		for _, b := range s.breakers.Snapshot() {

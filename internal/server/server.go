@@ -132,7 +132,7 @@ type Server struct {
 	start    time.Time
 
 	draining atomic.Bool
-	inflight inflightGauge
+	inflight InflightGauge
 	panics   atomic.Uint64
 
 	// peer counts the cache-handoff surface (peer.go); peerClient performs
@@ -253,18 +253,20 @@ func (s *Server) OpenStore() error {
 	return nil
 }
 
-// inflightGauge counts requests currently inside handleSchedule so a drain
-// can wait for them. sync.WaitGroup is the wrong tool here: it forbids Add
-// concurrent with Wait once the counter can touch zero, and that is exactly
-// our traffic pattern — requests keep arriving during a drain just to be
-// told 503. The zero value is ready to use.
-type inflightGauge struct {
+// InflightGauge counts requests currently inside a handler so a drain can
+// wait for them; schedd and the schedgw gateway both use it. sync.WaitGroup
+// is the wrong tool here: it forbids Add concurrent with Wait once the
+// counter can touch zero, and that is exactly our traffic pattern —
+// requests keep arriving during a drain just to be told 503. The zero value
+// is ready to use.
+type InflightGauge struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	n    int
 }
 
-func (g *inflightGauge) enter() {
+// Enter counts one request in.
+func (g *InflightGauge) Enter() {
 	g.mu.Lock()
 	if g.cond == nil {
 		g.cond = sync.NewCond(&g.mu)
@@ -273,7 +275,8 @@ func (g *inflightGauge) enter() {
 	g.mu.Unlock()
 }
 
-func (g *inflightGauge) exit() {
+// Exit counts one request out.
+func (g *InflightGauge) Exit() {
 	g.mu.Lock()
 	g.n--
 	if g.n == 0 {
@@ -282,16 +285,16 @@ func (g *inflightGauge) exit() {
 	g.mu.Unlock()
 }
 
-// current returns the in-flight request count — the drain-progress gauge.
-func (g *inflightGauge) current() int {
+// Current returns the in-flight request count — the drain-progress gauge.
+func (g *InflightGauge) Current() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.n
 }
 
-// waitZero blocks until no request is in flight. A request entering after
+// WaitZero blocks until no request is in flight. A request entering after
 // the gauge hits zero is the drain-flag check's problem, not ours.
-func (g *inflightGauge) waitZero() {
+func (g *InflightGauge) WaitZero() {
 	g.mu.Lock()
 	if g.cond == nil {
 		g.cond = sync.NewCond(&g.mu)
@@ -406,7 +409,7 @@ func (s *Server) StatsSnapshot() StatsResponse {
 		Shard:     s.cfg.ShardID,
 		Ready:     s.ready.Load(),
 		Draining:  s.draining.Load(),
-		Inflight:  s.inflight.current(),
+		Inflight:  s.inflight.Current(),
 		Panics:    s.panics.Load(),
 		Engine:    s.engine.Stats(),
 		Admission: s.adm.stats(),
@@ -636,17 +639,13 @@ func (s *Server) ladderFor(req scheduleRequest) (ladder []robust.Rung, ladderID 
 		// the cache identity itself.
 		return nil, "", nil
 	case req.fallback:
-		l, err := robust.LadderFor(req.mach.model, req.scheduler, req.seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return l, fmt.Sprintf("fallback:%s:seed=%d", req.scheduler, req.seed), nil
+		return robust.LadderFor(req.mach.model, req.scheduler, req.seed)
 	default:
-		r, err := robust.RungFor(req.mach.model, req.scheduler, req.seed)
+		r, id, err := robust.RungFor(req.mach.model, req.scheduler, req.seed)
 		if err != nil {
 			return nil, "", err
 		}
-		return []robust.Rung{r}, fmt.Sprintf("rung:%s:seed=%d", req.scheduler, req.seed), nil
+		return []robust.Rung{r}, id, nil
 	}
 }
 
@@ -662,8 +661,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	// Count ourselves in-flight before re-checking the drain flag: either
 	// the drain sees us and waits, or we see the drain and bail.
-	s.inflight.enter()
-	defer s.inflight.exit()
+	s.inflight.Enter()
+	defer s.inflight.Exit()
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, errorJSON{
@@ -880,7 +879,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	s.StartDrain()
 	done := make(chan struct{})
 	go func() {
-		s.inflight.waitZero()
+		s.inflight.WaitZero()
 		close(done)
 	}()
 	var err error

@@ -93,7 +93,7 @@ func execOne(g *ir.Graph, i int, values []Value, mem Memory) (Value, error) {
 		mem.Store(in.Bank, args[0].AsInt(), args[1])
 		return Value{}, nil
 	default:
-		return Eval(in, args), nil
+		return eval(in, args), nil
 	}
 }
 

@@ -43,7 +43,7 @@ func TestEvalIntegerOps(t *testing.T) {
 		{ir.Copy, []Value{IntVal(42)}, 42},
 	}
 	for _, c := range cases {
-		got := Eval(&ir.Instr{Op: c.op}, c.args)
+		got := eval(&ir.Instr{Op: c.op}, c.args)
 		if got.IsFloat || got.I != c.want {
 			t.Errorf("%v%v = %v, want %d", c.op, c.args, got, c.want)
 		}
@@ -71,7 +71,7 @@ func TestEvalFloatOps(t *testing.T) {
 		{ir.IntToFloat, []Value{IntVal(7)}, 7},
 	}
 	for _, c := range cases {
-		got := Eval(&ir.Instr{Op: c.op}, c.args)
+		got := eval(&ir.Instr{Op: c.op}, c.args)
 		if !got.IsFloat || got.F != c.want {
 			t.Errorf("%v%v = %v, want %g", c.op, c.args, got, c.want)
 		}
@@ -81,11 +81,11 @@ func TestEvalFloatOps(t *testing.T) {
 func TestEvalMixedOperandCoercion(t *testing.T) {
 	// Integer operand to a float op converts; float operand to an int op
 	// truncates.
-	got := Eval(&ir.Instr{Op: ir.FAdd}, []Value{IntVal(2), FloatVal(0.5)})
+	got := eval(&ir.Instr{Op: ir.FAdd}, []Value{IntVal(2), FloatVal(0.5)})
 	if got.F != 2.5 {
 		t.Errorf("FAdd coercion = %v", got)
 	}
-	got = Eval(&ir.Instr{Op: ir.Add}, []Value{FloatVal(2.9), IntVal(1)})
+	got = eval(&ir.Instr{Op: ir.Add}, []Value{FloatVal(2.9), IntVal(1)})
 	if got.I != 3 {
 		t.Errorf("Add coercion = %v", got)
 	}
@@ -94,10 +94,10 @@ func TestEvalMixedOperandCoercion(t *testing.T) {
 func TestEvalPanicsOnMemoryOp(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Eval(Load) did not panic")
+			t.Error("eval(Load) did not panic")
 		}
 	}()
-	Eval(&ir.Instr{Op: ir.Load}, []Value{IntVal(0)})
+	eval(&ir.Instr{Op: ir.Load}, []Value{IntVal(0)})
 }
 
 func TestValueEqualNaN(t *testing.T) {

@@ -70,10 +70,10 @@ func (v Value) String() string {
 
 func shiftAmount(v Value) uint { return uint(v.AsInt()) % 64 }
 
-// Eval computes the result of a non-memory instruction from its operand
+// eval computes the result of a non-memory instruction from its operand
 // values. It panics on memory ops (the executor handles those) and on
 // opcodes with no result.
-func Eval(in *ir.Instr, args []Value) Value {
+func eval(in *ir.Instr, args []Value) Value {
 	op := in.Op
 	bin := func() (int64, int64) { return args[0].AsInt(), args[1].AsInt() }
 	fbin := func() (float64, float64) { return args[0].AsFloat(), args[1].AsFloat() }
@@ -193,5 +193,5 @@ func Eval(in *ir.Instr, args []Value) Value {
 	case ir.Copy:
 		return args[0]
 	}
-	panic(fmt.Sprintf("sim: Eval on %v", op))
+	panic(fmt.Sprintf("sim: eval on %v", op))
 }
