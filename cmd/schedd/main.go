@@ -29,7 +29,7 @@
 //	POST /schedule?machine=raw16[&scheduler=convergent][&seed=N][&deadline=500ms][&trace=1]
 //	GET  /healthz   liveness  (200 while the process runs, even draining)
 //	GET  /readyz    readiness (503 while starting, draining, or queue-full)
-//	GET  /stats     JSON counters: engine cache, admission, breakers, metrics
+//	GET  /stats     JSON counters: engine cache, admission, peer, breakers
 //	GET  /metrics   Prometheus text format (servable during drain)
 //
 // With ?trace=1 the response carries a "trace" section: per-pass preference
@@ -78,9 +78,7 @@ type options struct {
 	breakerCooldown time.Duration
 
 	storeDir           string
-	storeEntries       int
 	storeSnapshotEvery int
-	storeQueue         int
 	storeNoSync        bool
 
 	tenantClasses multiFlag // -tenant-class, repeatable
@@ -92,8 +90,7 @@ type options struct {
 	tenantKeys multiFlag // -tenant-key, repeatable
 	keyFile    string    // -tenant-keys JSON file
 
-	peerKey     string        // -peer-key
-	peerTimeout time.Duration // -peer-timeout
+	peerKey string // -peer-key
 }
 
 // multiFlag collects a repeatable string flag.
@@ -193,13 +190,10 @@ func main() {
 	flag.StringVar(&o.defaultClass, "default-class", "", "class serving unknown tenants and requests without X-Schedd-Tenant")
 	flag.StringVar(&o.shardID, "shard-id", "", "name this instance in a schedgw cluster; rides responses as the shard field and X-Schedd-Shard")
 	flag.StringVar(&o.peerKey, "peer-key", "", "shared cluster secret enabling the /cache peer-handoff API and peer lookup before compute")
-	flag.DurationVar(&o.peerTimeout, "peer-timeout", 0, "budget for one peer cache fetch before computing locally (0 = 750ms)")
 	flag.Var(&o.tenantKeys, "tenant-key", "require this tenant to present its API key, e.g. acme=s3cret (repeatable; any key enables auth)")
 	flag.StringVar(&o.keyFile, "tenant-keys", "", "JSON file of {\"tenant\": \"secret\"} API keys")
 	flag.StringVar(&o.storeDir, "store-dir", "", "persist the schedule cache in this directory and warm-restart from it")
-	flag.IntVar(&o.storeEntries, "store-entries", 8192, "max entries retained in the persistent store")
 	flag.IntVar(&o.storeSnapshotEvery, "store-snapshot-every", 1024, "WAL appends between snapshot compactions")
-	flag.IntVar(&o.storeQueue, "store-queue", 256, "write-behind flush queue length (full queue drops entries, counted)")
 	flag.BoolVar(&o.storeNoSync, "store-nosync", false, "skip store fsyncs (crash-unsafe; benchmarking only)")
 	chaosList := flag.Bool("chaos-list", false, "list chaos classes and exit")
 	flag.Parse()
@@ -239,14 +233,8 @@ func validateStoreFlags(o options) error {
 	if o.cacheSize < 0 {
 		return errors.New("-store-dir requires memoization; it cannot be combined with a negative -cache-size")
 	}
-	if o.storeEntries <= 0 {
-		return fmt.Errorf("-store-entries must be positive, got %d", o.storeEntries)
-	}
 	if o.storeSnapshotEvery <= 0 {
 		return fmt.Errorf("-store-snapshot-every must be positive, got %d", o.storeSnapshotEvery)
-	}
-	if o.storeQueue <= 0 {
-		return fmt.Errorf("-store-queue must be positive, got %d", o.storeQueue)
 	}
 	parent := filepath.Dir(filepath.Clean(o.storeDir))
 	if st, err := os.Stat(parent); err != nil || !st.IsDir() {
@@ -285,7 +273,6 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 		ShardID:        o.shardID,
 		TenantKeys:     keys,
 		PeerKey:        o.peerKey,
-		PeerTimeout:    o.peerTimeout,
 		Workers:        o.workers,
 		MaxQueue:       o.queue,
 		RatePerSec:     o.rate,
@@ -298,9 +285,7 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 			Cooldown: o.breakerCooldown,
 		},
 		StoreDir:           o.storeDir,
-		StoreQueueLen:      o.storeQueue,
 		StoreSnapshotEvery: o.storeSnapshotEvery,
-		StoreMaxEntries:    o.storeEntries,
 		StoreNoFsync:       o.storeNoSync,
 		Logf:               logger.Printf,
 	}
@@ -316,8 +301,8 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 		return fmt.Errorf("store %s: %w", o.storeDir, err)
 	}
 	if o.storeDir != "" {
-		logger.Printf("persistent store at %s (entries %d, snapshot every %d); recovering",
-			o.storeDir, o.storeEntries, o.storeSnapshotEvery)
+		logger.Printf("persistent store at %s (snapshot every %d); recovering",
+			o.storeDir, o.storeSnapshotEvery)
 	}
 
 	hs := &http.Server{Handler: s.Handler()}

@@ -138,7 +138,7 @@ func TestServeScheduleAndDrain(t *testing.T) {
 
 func TestValidateStoreFlags(t *testing.T) {
 	dir := t.TempDir()
-	good := options{storeDir: dir, storeEntries: 8192, storeSnapshotEvery: 1024, storeQueue: 256, cacheSize: 256}
+	good := options{storeDir: dir, storeSnapshotEvery: 1024, cacheSize: 256}
 	if err := validateStoreFlags(good); err != nil {
 		t.Fatalf("valid store flags rejected: %v", err)
 	}
@@ -150,10 +150,7 @@ func TestValidateStoreFlags(t *testing.T) {
 		mut  func(*options)
 	}{
 		{"negative cache", func(o *options) { o.cacheSize = -1 }},
-		{"zero entries", func(o *options) { o.storeEntries = 0 }},
-		{"negative entries", func(o *options) { o.storeEntries = -4 }},
 		{"zero snapshot interval", func(o *options) { o.storeSnapshotEvery = 0 }},
-		{"zero queue", func(o *options) { o.storeQueue = 0 }},
 		{"missing parent", func(o *options) { o.storeDir = dir + "/no/such/parent/store" }},
 	}
 	for _, c := range cases {
@@ -171,7 +168,7 @@ func TestStoreDuplicateDirRefused(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
 		queue: 8, cacheSize: 256, timeout: 2 * time.Second, drain: 5 * time.Second,
-		seed: 2002, storeDir: dir, storeEntries: 64, storeSnapshotEvery: 16, storeQueue: 16,
+		seed: 2002, storeDir: dir, storeSnapshotEvery: 16,
 		storeNoSync: true,
 	}
 	base, stop, done, _ := bootServe(t, o)
@@ -215,7 +212,7 @@ func TestServeStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
 		queue: 8, cacheSize: 256, timeout: 2 * time.Second, drain: 5 * time.Second,
-		seed: 2002, storeDir: dir, storeEntries: 64, storeSnapshotEvery: 16, storeQueue: 16,
+		seed: 2002, storeDir: dir, storeSnapshotEvery: 16,
 		storeNoSync: true,
 	}
 	k, ok := bench.ByName("vvmul")

@@ -8,7 +8,6 @@
 //
 //	schedgw -addr :8744 -shard 127.0.0.1:8745 -shard 127.0.0.1:8746 -shard 127.0.0.1:8747
 //	schedgw -hedge-after 50ms                 # fixed hedge budget (default: adaptive p95)
-//	schedgw -quorum 2                         # ring routing needs this many alive shards
 //	schedgw -tenant-key acme=s3cret           # verify tenant identity at the edge
 //
 // Robustness is the point of the daemon: every shard's /readyz is probed
@@ -59,11 +58,7 @@ import (
 type options struct {
 	addr         string
 	shards       multiFlag
-	replicas     int
-	quorum       int
 	hedgeAfter   time.Duration
-	hedgeMin     time.Duration
-	hedgeMax     time.Duration
 	maxRetries   int
 	retryBase    time.Duration
 	probeEvery   time.Duration
@@ -91,13 +86,9 @@ func main() {
 	var o options
 	flag.StringVar(&o.addr, "addr", ":8744", "listen address")
 	flag.Var(&o.shards, "shard", "schedd backend address, host:port (repeatable; at least one)")
-	flag.IntVar(&o.replicas, "replicas", 0, "virtual nodes per shard on the hash ring (0 = default 64)")
-	flag.IntVar(&o.quorum, "quorum", 0, "alive shards required for ring routing; below it, any-alive-shard mode (0 = majority)")
 	flag.DurationVar(&o.hedgeAfter, "hedge-after", 0, "fixed hedge budget before a second attempt fires (0 = adaptive p95)")
-	flag.DurationVar(&o.hedgeMin, "hedge-min", 0, "lower clamp on the adaptive hedge budget (0 = 25ms)")
-	flag.DurationVar(&o.hedgeMax, "hedge-max", 0, "upper clamp on the adaptive hedge budget (0 = 2s)")
-	flag.IntVar(&o.maxRetries, "max-retries", 0, "full-jitter retry passes after connection errors (0 = default 2, negative disables)")
-	flag.DurationVar(&o.retryBase, "retry-base", 0, "backoff base for retry passes (0 = 25ms)")
+	flag.IntVar(&o.maxRetries, "max-retries", 0, "full-jitter retry passes after connection errors (0 = default 2, negative disables, at most 16)")
+	flag.DurationVar(&o.retryBase, "retry-base", 0, "backoff base for retry passes (0 = 25ms, at most 1m)")
 	flag.DurationVar(&o.probeEvery, "probe-every", 0, "/readyz probe interval per shard (0 = 250ms)")
 	flag.DurationVar(&o.probeTimeout, "probe-timeout", 0, "per-probe timeout (0 = 1s)")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
@@ -158,11 +149,7 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 	}
 	g, err := cluster.NewGateway(cluster.Config{
 		Shards:       o.shards,
-		Replicas:     o.replicas,
-		Quorum:       o.quorum,
 		HedgeAfter:   o.hedgeAfter,
-		HedgeMin:     o.hedgeMin,
-		HedgeMax:     o.hedgeMax,
 		MaxRetries:   o.maxRetries,
 		RetryBase:    o.retryBase,
 		ProbeEvery:   o.probeEvery,

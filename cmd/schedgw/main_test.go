@@ -119,14 +119,37 @@ func TestServeLifecycle(t *testing.T) {
 }
 
 // TestServeRejectsBadConfig: a shardless gateway is a startup error, not a
-// daemon that routes nothing.
+// daemon that routes nothing, and so are retry settings whose results
+// channel or backoff (-retry-base << -max-retries) would not fit.
 func TestServeRejectsBadConfig(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	shard := multiFlag{"127.0.0.1:1"}
+	cases := []struct {
+		name string
+		o    options
+		ok   bool
+	}{
+		{"no shards", options{}, false},
+		{"max retries 17", options{shards: shard, maxRetries: 17}, false},
+		{"max retries 2^40", options{shards: shard, maxRetries: 1 << 40}, false},
+		{"retry base over 1m", options{shards: shard, retryBase: time.Minute + time.Nanosecond}, false},
+		{"retry base 2^62ns", options{shards: shard, retryBase: 1 << 62}, false},
+		{"largest retry settings", options{shards: shard, maxRetries: 16, retryBase: time.Minute}, true},
 	}
-	defer ln.Close()
-	if err := serve(options{}, ln, make(chan os.Signal), log.New(io.Discard, "", 0)); err == nil {
-		t.Fatal("serve accepted a config with no shards")
+	for _, c := range cases {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// An accepted config serves until this signal, then drains and
+		// returns nil.
+		stop := make(chan os.Signal, 1)
+		stop <- syscall.SIGTERM
+		o := c.o
+		o.drain = time.Second
+		err = serve(o, ln, stop, log.New(io.Discard, "", 0))
+		ln.Close()
+		if (err == nil) != c.ok {
+			t.Errorf("%s: serve returned %v, want accepted=%v", c.name, err, c.ok)
+		}
 	}
 }

@@ -170,7 +170,7 @@ func TestClusterChaos(t *testing.T) {
 		shards[i] = &liveShard{name: addr, dir: filepath.Join(t.TempDir(), "store")}
 		names[i] = addr
 	}
-	probe := NewRing(64)
+	probe := NewRing()
 	for _, n := range names {
 		probe.Add(n)
 	}
@@ -382,7 +382,7 @@ func TestMembershipChurnChaos(t *testing.T) {
 		}
 		unitKeys[i] = KeyFor(g.CanonicalHash())
 	}
-	seedRing := NewRing(64)
+	seedRing := NewRing()
 	for _, n := range names {
 		seedRing.Add(n)
 	}

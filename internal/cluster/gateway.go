@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/irtext"
-	"repro/internal/obs"
 	"repro/internal/robust"
 	"repro/internal/server"
 )
@@ -26,35 +25,22 @@ type Config struct {
 	// Shards lists the schedd backends as host:port or full http:// URLs.
 	// At least one is required.
 	Shards []string
-	// Replicas is the virtual-node count per shard on the ring. Default 64.
-	Replicas int
-	// Quorum is the minimum number of alive shards required to keep routing
-	// by ring ownership; below it the gateway degrades to any-alive-shard
-	// routing. Default majority (n/2+1); 1 degrades only when nothing is
-	// alive (ring routing always).
-	Quorum int
 	// HedgeAfter, when positive, is a fixed budget after which a second
 	// attempt fires at the next shard on the ring. 0 selects the adaptive
 	// budget: the p95 of recent delivered-200 latencies, clamped to
-	// [HedgeMin, HedgeMax].
+	// [25ms, 2s].
 	HedgeAfter time.Duration
-	// HedgeMin and HedgeMax clamp the adaptive budget. Defaults 25ms / 2s.
-	// Until the latency window has enough samples the budget is HedgeMax —
-	// hedge conservatively before there is evidence.
-	HedgeMin time.Duration
-	HedgeMax time.Duration
 	// MaxRetries bounds full re-scans of the candidate list after connection
-	// errors, each preceded by full-jitter backoff. Default 2.
+	// errors, each preceded by full-jitter backoff. Default 2, at most 16;
+	// negative disables retry.
 	MaxRetries int
 	// RetryBase is the backoff base: retry pass k waits uniform(0, base<<k].
-	// Default 25ms.
+	// Default 25ms, at most 1m.
 	RetryBase time.Duration
 	// ProbeEvery is the /readyz poll interval. Default 250ms.
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds one probe. Default 1s.
 	ProbeTimeout time.Duration
-	// MaxBodyBytes caps the request body. Default 1 MiB.
-	MaxBodyBytes int64
 	// Breakers overrides the per-shard breaker policy. Zero means defaults.
 	Breakers robust.BreakerPolicy
 	// Keys, when non-empty, enables tenant API-key auth at the edge: a
@@ -83,6 +69,19 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
+const (
+	// hedgeMin and hedgeMax clamp the adaptive hedge budget. Until the
+	// latency window has enough samples the budget is hedgeMax — hedge
+	// conservatively before there is evidence.
+	hedgeMin = 25 * time.Millisecond
+	hedgeMax = 2 * time.Second
+	// maxRetries and maxRetryBase bound Config.MaxRetries and RetryBase so
+	// that route's results channel stays small and the largest backoff,
+	// maxRetryBase<<maxRetries, fits in a time.Duration.
+	maxRetries   = 16
+	maxRetryBase = time.Minute
+)
+
 // Gateway is the routing tier: an http.Handler that consistent-hashes each
 // /schedule request onto the shard fleet, with health-probed breakers,
 // hedged requests, bounded retry, and quorum degradation. Create one with
@@ -101,17 +100,15 @@ type Gateway struct {
 	// the epoch move together under one write lock so a routing decision
 	// never sees a half-applied membership change. prevRing is the ring as it
 	// was before the most recent change — the source of previous-owner peer
-	// hints. quorum is recomputed as a majority on every change unless the
-	// operator pinned it (quorumFixed).
-	memMu       sync.RWMutex
-	ring        *Ring
-	prevRing    *Ring
-	order       []*shard // join order, for degraded round-robin
-	byName      map[string]*shard
-	bases       map[string]string // every name ever known -> base URL (departed shards included, for peer hints)
-	epoch       uint64
-	quorum      int
-	quorumFixed bool
+	// hints. The ring-routing quorum is always a majority of order
+	// (quorumLocked).
+	memMu    sync.RWMutex
+	ring     *Ring
+	prevRing *Ring
+	order    []*shard // join order, for degraded round-robin
+	byName   map[string]*shard
+	bases    map[string]string // every name ever known -> base URL (departed shards included, for peer hints)
+	epoch    uint64
 
 	draining atomic.Bool
 	inflight server.InflightGauge
@@ -146,29 +143,14 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 64
+	if cfg.MaxRetries > maxRetries {
+		return nil, fmt.Errorf("cluster: max retries %d exceeds %d", cfg.MaxRetries, maxRetries)
 	}
-	// A pinned quorum survives membership changes verbatim; otherwise the
-	// quorum tracks the majority of the current member count.
-	quorumFixed := cfg.Quorum > 0
-	if cfg.Quorum <= 0 {
-		cfg.Quorum = len(cfg.Shards)/2 + 1
-	}
-	if cfg.Quorum > len(cfg.Shards) {
-		return nil, fmt.Errorf("cluster: quorum %d exceeds shard count %d", cfg.Quorum, len(cfg.Shards))
+	if cfg.RetryBase > maxRetryBase {
+		return nil, fmt.Errorf("cluster: retry base %s exceeds %s", cfg.RetryBase, maxRetryBase)
 	}
 	if cfg.RebalanceK <= 0 {
 		cfg.RebalanceK = 32
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = 25 * time.Millisecond
-	}
-	if cfg.HedgeMax <= 0 {
-		cfg.HedgeMax = 2 * time.Second
-	}
-	if cfg.HedgeMax < cfg.HedgeMin {
-		cfg.HedgeMax = cfg.HedgeMin
 	}
 	if cfg.MaxRetries < 0 {
 		cfg.MaxRetries = 0
@@ -184,24 +166,19 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = time.Second
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	g := &Gateway{
-		cfg:         cfg,
-		ring:        NewRing(cfg.Replicas),
-		breakers:    robust.NewBreakerSet(cfg.Breakers),
-		byName:      make(map[string]*shard, len(cfg.Shards)),
-		bases:       make(map[string]string, len(cfg.Shards)),
-		quorum:      cfg.Quorum,
-		quorumFixed: quorumFixed,
-		mux:         http.NewServeMux(),
-		lat:         newLatWindow(512),
-		start:       time.Now(),
-		rng:         rand.New(rand.NewSource(time.Now().UnixNano())),
+		cfg:      cfg,
+		ring:     NewRing(),
+		breakers: robust.NewBreakerSet(cfg.Breakers),
+		byName:   make(map[string]*shard, len(cfg.Shards)),
+		bases:    make(map[string]string, len(cfg.Shards)),
+		mux:      http.NewServeMux(),
+		lat:      newLatWindow(512),
+		start:    time.Now(),
+		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for _, raw := range cfg.Shards {
 		name, base, err := parseShardAddr(raw)
@@ -281,15 +258,9 @@ func (g *Gateway) hedgeBudget() time.Duration {
 	}
 	p, ok := g.lat.p95()
 	if !ok {
-		return g.cfg.HedgeMax
+		return hedgeMax
 	}
-	if p < g.cfg.HedgeMin {
-		return g.cfg.HedgeMin
-	}
-	if p > g.cfg.HedgeMax {
-		return g.cfg.HedgeMax
-	}
-	return p
+	return min(max(p, hedgeMin), hedgeMax)
 }
 
 // fullJitter returns uniform(0, d].
@@ -374,7 +345,7 @@ func (g *Gateway) plan(key uint64) (cands []*shard, degraded bool) {
 			alive++
 		}
 	}
-	if alive >= g.quorum {
+	if alive >= g.quorumLocked() {
 		names := g.ring.Owners(key, len(g.order))
 		cands = make([]*shard, 0, len(names))
 		for _, n := range names {
@@ -584,7 +555,7 @@ func (g *Gateway) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, server.MaxBodyBytes))
 	if err != nil {
 		g.badRequests.Add(1)
 		g.writeError(w, &gwError{code: http.StatusBadRequest, kind: "bad-request",
@@ -739,7 +710,6 @@ type StatsResponse struct {
 	HedgeBudgetMs float64              `json:"hedgeBudgetMs"`
 	Shards        []ShardStats         `json:"shards"`
 	Breakers      []robust.BreakerStat `json:"breakers"`
-	Metrics       []obs.Sample         `json:"metrics,omitempty"`
 }
 
 // StatsSnapshot returns the gateway counters as served by /stats.
@@ -772,7 +742,6 @@ func (g *Gateway) StatsSnapshot() StatsResponse {
 		HotPushErrors:    g.hotPushErrors.Load(),
 		HedgeBudgetMs:    float64(g.hedgeBudget().Microseconds()) / 1000,
 		Breakers:         g.breakers.Snapshot(),
-		Metrics:          g.metrics.reg.Samples(),
 	}
 	for _, s := range g.members() {
 		s.mu.Lock()

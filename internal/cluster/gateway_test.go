@@ -204,12 +204,25 @@ func TestEdgeAuthAndBadBodies(t *testing.T) {
 	if code := do("", "", "not a ddg"); code != http.StatusBadRequest {
 		t.Errorf("garbage body: %d, want 400", code)
 	}
+	// A valid unit padded with # comment lines to one byte past the shards'
+	// cap is refused at the edge, never forwarded to a shard that would
+	// refuse it too.
+	comment := "#" + strings.Repeat(" ", 62) + "\n"
+	oversized := (ddg + strings.Repeat(comment, server.MaxBodyBytes/len(comment)+1))[:server.MaxBodyBytes+1]
+	if code := do("", "", oversized); code != http.StatusBadRequest {
+		t.Errorf("oversized body: %d, want 400", code)
+	}
 	if a.hits.Load()+b.hits.Load() != 0 {
 		t.Errorf("%d shard attempts for requests rejected at the edge", a.hits.Load()+b.hits.Load())
 	}
 	st := g.StatsSnapshot()
-	if st.AuthFailures != 1 || st.BadRequests != 1 {
-		t.Errorf("authFailures=%d badRequests=%d, want 1/1", st.AuthFailures, st.BadRequests)
+	if st.AuthFailures != 1 || st.BadRequests != 2 {
+		t.Errorf("authFailures=%d badRequests=%d, want 1/2", st.AuthFailures, st.BadRequests)
+	}
+	for _, sh := range st.Shards {
+		if sh.Forwarded != 0 {
+			t.Errorf("shard %s: %d forwarded for requests rejected at the edge", sh.Name, sh.Forwarded)
+		}
 	}
 	// The verified identity is accepted and forwarded.
 	if code := do("acme", "s3cret", ddg); code != http.StatusOK {

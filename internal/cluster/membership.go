@@ -111,7 +111,7 @@ func parseShardAddr(raw string) (name, base string, err error) {
 // membershipLocked builds the current Membership. Caller holds memMu (read
 // or write).
 func (g *Gateway) membershipLocked() Membership {
-	m := Membership{Epoch: g.epoch, Shards: g.ring.Shards(), Quorum: g.quorum}
+	m := Membership{Epoch: g.epoch, Shards: g.ring.Shards(), Quorum: g.quorumLocked()}
 	if g.cfg.AdminKey != "" {
 		m.Signature = signMembership(g.cfg.AdminKey, m.Epoch, m.Shards)
 	}
@@ -132,12 +132,17 @@ func (g *Gateway) members() []*shard {
 	return append([]*shard(nil), g.order...)
 }
 
-// quorumNow returns the effective ring-routing quorum.
+// quorumNow returns the ring-routing quorum.
 func (g *Gateway) quorumNow() int {
 	g.memMu.RLock()
 	defer g.memMu.RUnlock()
-	return g.quorum
+	return g.quorumLocked()
 }
+
+// quorumLocked is the ring-routing quorum: a majority of the current
+// members. Below it the gateway degrades to any-alive-shard routing. Caller
+// holds memMu (read or write).
+func (g *Gateway) quorumLocked() int { return len(g.order)/2 + 1 }
 
 // verifyAdmin authenticates one membership API call. No admin key configured
 // means the API is disabled outright — static membership is the safe
@@ -253,9 +258,6 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 	g.byName[name] = s
 	g.bases[name] = base
 	g.epoch++
-	if !g.quorumFixed {
-		g.quorum = len(g.order)/2 + 1
-	}
 	mem := g.membershipLocked()
 	g.memMu.Unlock()
 
@@ -319,9 +321,6 @@ func (g *Gateway) handleLeave(w http.ResponseWriter, r *http.Request, id string)
 	// bases keeps the departed shard's URL: it is exactly what the
 	// previous-owner peer hints need while the process drains.
 	g.epoch++
-	if !g.quorumFixed {
-		g.quorum = len(g.order)/2 + 1
-	}
 	mem := g.membershipLocked()
 	newRing := g.ring.Clone()
 	g.memMu.Unlock()

@@ -46,7 +46,7 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 	hotPushErrs := reg.Counter("schedgw_hot_push_errors_total", "Hot-record pushes that failed during graceful leaves.")
 
 	alive := reg.Gauge("schedgw_shards_alive", "Shards whose last /readyz probe succeeded.")
-	quorum := reg.Gauge("schedgw_quorum", "Current ring-routing quorum (recomputed on membership change unless pinned).")
+	quorum := reg.Gauge("schedgw_quorum", "Current ring-routing quorum (a majority of members, recomputed on membership change).")
 	inflight := reg.Gauge("schedgw_inflight_requests", "Requests currently being routed.")
 	draining := reg.Gauge("schedgw_draining", "1 while the gateway refuses new work.")
 	budget := reg.Gauge("schedgw_hedge_budget_seconds", "Current hedge budget (fixed or adaptive p95).")

@@ -43,7 +43,10 @@ type point struct {
 	shard string
 }
 
-// Ring is a consistent-hash ring of shard names. Each shard owns Replicas
+// replicas is the virtual-node count per shard on the ring.
+const replicas = 64
+
+// Ring is a consistent-hash ring of shard names. Each shard owns replicas
 // virtual points; a key is served by the first shard clockwise from its
 // position, and Owners enumerates the distinct shards in that order — the
 // hedging/failover sequence. Membership changes move only the keys adjacent
@@ -51,20 +54,13 @@ type point struct {
 // a shard's content-addressed cache valid across other shards' joins and
 // leaves. A Ring is safe for concurrent use.
 type Ring struct {
-	mu       sync.RWMutex
-	replicas int
-	points   []point // sorted by pos
-	shards   map[string]bool
+	mu     sync.RWMutex
+	points []point // sorted by pos
+	shards map[string]bool
 }
 
-// NewRing returns an empty ring with the given virtual-node count per shard
-// (0 selects the default, 64).
-func NewRing(replicas int) *Ring {
-	if replicas <= 0 {
-		replicas = 64
-	}
-	return &Ring{replicas: replicas, shards: make(map[string]bool)}
-}
+// NewRing returns an empty ring.
+func NewRing() *Ring { return &Ring{shards: make(map[string]bool)} }
 
 // Add inserts a shard's virtual points. Adding a present shard is a no-op.
 func (r *Ring) Add(shard string) {
@@ -74,7 +70,7 @@ func (r *Ring) Add(shard string) {
 		return
 	}
 	r.shards[shard] = true
-	for i := 0; i < r.replicas; i++ {
+	for i := 0; i < replicas; i++ {
 		sum := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", shard, i)))
 		r.points = append(r.points, point{pos: binary.BigEndian.Uint64(sum[:8]), shard: shard})
 	}
@@ -105,7 +101,7 @@ func (r *Ring) Remove(shard string) {
 func (r *Ring) Clone() *Ring {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	c := &Ring{replicas: r.replicas, shards: make(map[string]bool, len(r.shards))}
+	c := &Ring{shards: make(map[string]bool, len(r.shards))}
 	for s := range r.shards {
 		c.shards[s] = true
 	}

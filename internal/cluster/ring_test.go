@@ -10,7 +10,7 @@ import (
 )
 
 func ringOf(shards ...string) *Ring {
-	r := NewRing(0)
+	r := NewRing()
 	for _, s := range shards {
 		r.Add(s)
 	}
@@ -45,7 +45,7 @@ func TestOwnersPermutation(t *testing.T) {
 	if got := r.Owners(42, 1); len(got) != 1 {
 		t.Errorf("n=1: %d owners", len(got))
 	}
-	if got := NewRing(0).Owners(42, 3); got != nil {
+	if got := NewRing().Owners(42, 3); got != nil {
 		t.Errorf("empty ring returned owners %v", got)
 	}
 }

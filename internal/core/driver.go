@@ -96,7 +96,6 @@ func passDelta(w *PrefMap, before, after [][]float64, prev, cur []int) obs.PassD
 		l1    float64
 	}
 	shifts := make([]shift, 0, n)
-	d.Entropy = make([]float64, n)
 	d.MinTotal, d.MaxTotal = math.Inf(1), math.Inf(-1)
 	for i := 0; i < n; i++ {
 		l1 := 0.0
@@ -110,7 +109,6 @@ func passDelta(w *PrefMap, before, after [][]float64, prev, cur []int) obs.PassD
 				h -= m * math.Log(m)
 			}
 		}
-		d.Entropy[i] = h
 		d.MeanEntropy += h
 		t := w.Total(i)
 		d.MinTotal = math.Min(d.MinTotal, t)

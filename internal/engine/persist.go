@@ -36,9 +36,8 @@ type PersistConfig struct {
 	FS store.FS
 	// QueueLen bounds the write-behind flush queue. Default 256.
 	QueueLen int
-	// SnapshotEvery and MaxEntries pass through to store.Options.
+	// SnapshotEvery passes through to store.Options.
 	SnapshotEvery int
-	MaxEntries    int
 	// NoFsync skips fsyncs (crash-unsafe; tests and benchmarks).
 	NoFsync bool
 	// Logf receives operational messages; nil discards them.
@@ -114,7 +113,6 @@ func (e *Engine) AttachStore(cfg PersistConfig) error {
 		FS:            cfg.FS,
 		NoFsync:       cfg.NoFsync,
 		SnapshotEvery: cfg.SnapshotEvery,
-		MaxEntries:    cfg.MaxEntries,
 	})
 	if err != nil {
 		return err

@@ -327,12 +327,12 @@ func (r *Registry) Families() []FamilyInfo {
 	return out
 }
 
-// Sample is one flattened metric sample: the fully labelled series name as
+// sample is one flattened metric sample: the fully labelled series name as
 // it appears on a Prometheus text line, and its value. Histogram families
 // flatten into their _bucket/_sum/_count series.
-type Sample struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
+type sample struct {
+	name  string
+	value float64
 }
 
 // snapshot returns the hooks and the name-sorted family list.
@@ -346,21 +346,6 @@ func (r *Registry) snapshot() ([]func(), []*family) {
 	r.mu.Unlock()
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	return hooks, fams
-}
-
-// Samples runs the BeforeScrape hooks and returns every sample, in the same
-// order WriteTo would render them. This is what folds the metric values into
-// schedd's JSON /stats body.
-func (r *Registry) Samples() []Sample {
-	hooks, fams := r.snapshot()
-	for _, h := range hooks {
-		h()
-	}
-	var out []Sample
-	for _, f := range fams {
-		out = append(out, f.samples()...)
-	}
-	return out
 }
 
 // WriteTo renders the registry in the Prometheus text exposition format:
@@ -382,9 +367,9 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
 		for _, s := range ss {
-			b.WriteString(s.Name)
+			b.WriteString(s.name)
 			b.WriteByte(' ')
-			b.WriteString(formatFloat(s.Value))
+			b.WriteString(formatFloat(s.value))
 			b.WriteByte('\n')
 		}
 	}
@@ -394,7 +379,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 
 // samples flattens one family. The family lock covers the child map
 // snapshot; each child's value reads are atomic (histograms lock per child).
-func (f *family) samples() []Sample {
+func (f *family) samples() []sample {
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.children))
 	for k := range f.children {
@@ -407,23 +392,23 @@ func (f *family) samples() []Sample {
 	}
 	f.mu.Unlock()
 
-	var out []Sample
+	var out []sample
 	for _, c := range children {
 		switch f.kind {
 		case kindCounter:
-			out = append(out, Sample{seriesName(f.name, f.labelNames, c.labelValues, "", ""), c.counter.Value()})
+			out = append(out, sample{seriesName(f.name, f.labelNames, c.labelValues, "", ""), c.counter.Value()})
 		case kindGauge:
-			out = append(out, Sample{seriesName(f.name, f.labelNames, c.labelValues, "", ""), c.gauge.Value()})
+			out = append(out, sample{seriesName(f.name, f.labelNames, c.labelValues, "", ""), c.gauge.Value()})
 		case kindHistogram:
 			c.hist.mu.Lock()
 			cum := uint64(0)
 			for i, ub := range c.hist.upper {
 				cum += c.hist.counts[i]
-				out = append(out, Sample{seriesName(f.name+"_bucket", f.labelNames, c.labelValues, "le", formatFloat(ub)), float64(cum)})
+				out = append(out, sample{seriesName(f.name+"_bucket", f.labelNames, c.labelValues, "le", formatFloat(ub)), float64(cum)})
 			}
-			out = append(out, Sample{seriesName(f.name+"_bucket", f.labelNames, c.labelValues, "le", "+Inf"), float64(cum + c.hist.inf)})
-			out = append(out, Sample{seriesName(f.name+"_sum", f.labelNames, c.labelValues, "", ""), c.hist.sum})
-			out = append(out, Sample{seriesName(f.name+"_count", f.labelNames, c.labelValues, "", ""), float64(c.hist.count)})
+			out = append(out, sample{seriesName(f.name+"_bucket", f.labelNames, c.labelValues, "le", "+Inf"), float64(cum + c.hist.inf)})
+			out = append(out, sample{seriesName(f.name+"_sum", f.labelNames, c.labelValues, "", ""), c.hist.sum})
+			out = append(out, sample{seriesName(f.name+"_count", f.labelNames, c.labelValues, "", ""), float64(c.hist.count)})
 			c.hist.mu.Unlock()
 		}
 	}

@@ -56,11 +56,9 @@ type PassDelta struct {
 	// TopShifts are the TopShiftK largest per-instruction marginal moves,
 	// largest first.
 	TopShifts []WeightShift `json:"topShifts,omitempty"`
-	// Entropy is the per-instruction Shannon entropy (nats) of the
-	// normalized cluster marginal after the pass: 0 means fully decided,
-	// ln(C) means uniform. Indexed by instruction id.
-	Entropy []float64 `json:"entropy,omitempty"`
-	// MeanEntropy summarises Entropy; the per-pass convergence signal.
+	// MeanEntropy is the mean over instructions of the Shannon entropy
+	// (nats) of each normalized cluster marginal after the pass: 0 means
+	// fully decided, ln(C) means uniform. The per-pass convergence signal.
 	MeanEntropy float64 `json:"meanEntropy"`
 	// MinTotal and MaxTotal bound the per-instruction weight totals after
 	// the driver's normalization — the paper's Σ W[i] = 1 invariant, which

@@ -37,10 +37,20 @@ func TruncatedSequence(seq []core.Pass) []core.Pass {
 // (Raw), UAS on clustered VLIWs.
 func BaselineRung(m *machine.Model) Rung {
 	if m.RemoteMemPenalty < 0 {
-		return Rung{Name: "rawcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
-			return rawcc.Schedule(g, m)
-		}}
+		return rawccRung(m)
 	}
+	return uasRung(m)
+}
+
+// rawccRung wraps the Rawcc-style space-time scheduler as a ladder rung.
+func rawccRung(m *machine.Model) Rung {
+	return Rung{Name: "rawcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
+		return rawcc.Schedule(g, m)
+	}}
+}
+
+// uasRung wraps unified assign-and-schedule as a ladder rung.
+func uasRung(m *machine.Model) Rung {
 	return Rung{Name: "uas", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
 		return uas.Schedule(g, m)
 	}}
@@ -151,13 +161,9 @@ func RungFor(m *machine.Model, scheduler string, seed int64) (Rung, string, erro
 		seq := passes.ForMachine(m.Name)
 		return ConvergentRung("convergent", m, seq, seed), convergentID("convergent", seq, seed), nil
 	case "rawcc":
-		r = Rung{Name: "rawcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
-			return rawcc.Schedule(g, m)
-		}}
+		r = rawccRung(m)
 	case "uas":
-		r = Rung{Name: "uas", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
-			return uas.Schedule(g, m)
-		}}
+		r = uasRung(m)
 	case "pcc":
 		r = Rung{Name: "pcc", Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {
 			return pcc.Schedule(g, m, pcc.Options{})

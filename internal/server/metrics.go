@@ -1,8 +1,7 @@
 package server
 
 // The server's metric surface: a dependency-free Prometheus registry
-// (internal/obs) served at GET /metrics and folded into /stats. Two kinds of
-// series live here:
+// (internal/obs) served at GET /metrics. Two kinds of series live here:
 //
 //   - Event-driven: request/rung latency histograms and breaker-transition
 //     counters, observed at the moment they happen.

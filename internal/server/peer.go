@@ -56,6 +56,10 @@ const (
 // maxHotExport caps one /cache/hot response regardless of the requested k.
 const maxHotExport = 512
 
+// peerTimeout bounds one peer cache fetch; a slow or dead peer must never
+// stall the compute fallback for long.
+const peerTimeout = 750 * time.Millisecond
+
 // SignPeerHint computes the peer-hint signature the gateway stamps and the
 // shard verifies: hex HMAC-SHA256 of the peer base URL under the cluster
 // peer key.
@@ -178,7 +182,7 @@ func (s *Server) handleCache(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rec)
 	case http.MethodPut:
 		var rec store.Record
-		body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+		body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 		if err := json.NewDecoder(body).Decode(&rec); err != nil {
 			writeError(w, http.StatusBadRequest, errorJSON{Kind: "bad-request", Message: fmt.Sprintf("decoding record: %v", err)})
 			return
@@ -233,11 +237,7 @@ func (s *Server) peerFetch(ctx context.Context, peerBase string, job engine.Job)
 		return false
 	}
 	s.peer.lookups.Add(1)
-	timeout := s.cfg.PeerTimeout
-	if timeout <= 0 {
-		timeout = 750 * time.Millisecond
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	defer cancel()
 	url := strings.TrimSuffix(peerBase, "/") + "/cache/" + hex.EncodeToString([]byte(key))
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
@@ -246,7 +246,7 @@ func (s *Server) peerFetch(ctx context.Context, peerBase string, job engine.Job)
 		return false
 	}
 	req.Header.Set(PeerKeyHeader, s.cfg.PeerKey)
-	resp, err := s.peerClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		s.peer.errors.Add(1)
 		return false
@@ -258,7 +258,7 @@ func (s *Server) peerFetch(ctx context.Context, peerBase string, job engine.Job)
 		return false
 	}
 	var rec store.Record
-	if err := json.NewDecoder(io.LimitReader(resp.Body, s.cfg.MaxBodyBytes)).Decode(&rec); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, MaxBodyBytes)).Decode(&rec); err != nil {
 		s.peer.rejected.Add(1)
 		return false
 	}

@@ -44,6 +44,11 @@ import (
 	"repro/internal/store"
 )
 
+// MaxBodyBytes caps every request body the service reads: /schedule and
+// the peer /cache paths here, and /schedule at the schedgw gateway, so the
+// gateway never accepts a body a shard would refuse.
+const MaxBodyBytes = 1 << 20
+
 // Config configures a Server. The zero value of every field selects a
 // sensible production default.
 type Config struct {
@@ -63,8 +68,6 @@ type Config struct {
 	// DefaultTimeout is the per-attempt rung budget when the request does
 	// not set one. Default 2s.
 	DefaultTimeout time.Duration
-	// MaxBodyBytes caps the request body. Default 1 MiB.
-	MaxBodyBytes int64
 	// Tenancy configures multi-tenant QoS: priority classes, tenant->class
 	// assignments, and the default class. The zero value runs a single
 	// default class with the server-wide bounds — exactly the pre-tenancy
@@ -84,11 +87,8 @@ type Config struct {
 	// StoreFS overrides the store's filesystem seam (fault injection); nil
 	// means the real filesystem.
 	StoreFS store.FS
-	// StoreQueueLen bounds the write-behind flush queue. Default 256.
-	StoreQueueLen int
-	// StoreSnapshotEvery and StoreMaxEntries pass through to store.Options.
+	// StoreSnapshotEvery passes through to store.Options.
 	StoreSnapshotEvery int
-	StoreMaxEntries    int
 	// StoreNoFsync skips fsyncs (crash-unsafe; tests and benchmarks).
 	StoreNoFsync bool
 	// ShardID, when non-empty, names this instance in a schedgw cluster: it
@@ -107,12 +107,6 @@ type Config struct {
 	// gateway trigger peer cache lookup before compute. Empty disables the
 	// whole peer surface — the pre-cluster-membership behavior.
 	PeerKey string
-	// PeerTimeout bounds one peer cache fetch; a slow or dead peer must
-	// never stall the compute fallback for long. Default 750ms.
-	PeerTimeout time.Duration
-	// PeerTransport overrides the peer-fetch round-tripper (tests). Nil
-	// means http.DefaultTransport.
-	PeerTransport http.RoundTripper
 	// Seed is the default noise seed when the request does not set one.
 	Seed int64
 	// Logf receives operational log lines (drain progress, flushed stats).
@@ -135,10 +129,8 @@ type Server struct {
 	inflight InflightGauge
 	panics   atomic.Uint64
 
-	// peer counts the cache-handoff surface (peer.go); peerClient performs
-	// outbound record fetches from previous ring owners.
-	peer       peerCounters
-	peerClient *http.Client
+	// peer counts the cache-handoff surface (peer.go).
+	peer peerCounters
 
 	// testHookPostAdmit, when non-nil, runs right after admission grants a
 	// queue slot — the seam the release-exactly-once panic regression test
@@ -178,9 +170,6 @@ func New(cfg Config) *Server {
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 2 * time.Second
 	}
-	if cfg.MaxBodyBytes <= 0 {
-		cfg.MaxBodyBytes = 1 << 20
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -199,7 +188,6 @@ func New(cfg Config) *Server {
 		s.ready.Store(true)
 		close(s.recoveryDone)
 	}
-	s.peerClient = &http.Client{Transport: cfg.PeerTransport}
 	s.metrics = newMetrics(s)
 	s.breakers.SetObserver(s.metrics.observeBreaker)
 	s.mux.HandleFunc("/schedule", s.handleSchedule)
@@ -229,9 +217,7 @@ func (s *Server) OpenStore() error {
 	err := s.engine.AttachStore(engine.PersistConfig{
 		Dir:           s.cfg.StoreDir,
 		FS:            s.cfg.StoreFS,
-		QueueLen:      s.cfg.StoreQueueLen,
 		SnapshotEvery: s.cfg.StoreSnapshotEvery,
-		MaxEntries:    s.cfg.StoreMaxEntries,
 		NoFsync:       s.cfg.StoreNoFsync,
 		Logf:          s.cfg.Logf,
 	})
@@ -397,9 +383,6 @@ type StatsResponse struct {
 	Admission AdmissionStats       `json:"admission"`
 	Peer      PeerStats            `json:"peer"`
 	Breakers  []robust.BreakerStat `json:"breakers"`
-	// Metrics folds the Prometheus registry's samples into the JSON stats
-	// body (the same values GET /metrics renders as text).
-	Metrics []obs.Sample `json:"metrics,omitempty"`
 }
 
 // StatsSnapshot returns the service counters as served by /stats.
@@ -415,7 +398,6 @@ func (s *Server) StatsSnapshot() StatsResponse {
 		Admission: s.adm.stats(),
 		Peer:      s.peer.snapshot(s.cfg.PeerKey != ""),
 		Breakers:  s.breakers.Snapshot(),
-		Metrics:   s.metrics.reg.Samples(),
 	}
 }
 
@@ -721,7 +703,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.tenant, req.class = grant.Tenant(), grant.Class()
-	g, err := irtext.Parse(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	g, err := irtext.Parse(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, errorJSON{Kind: "bad-request", Message: err.Error()})
 		return

@@ -181,6 +181,10 @@ func TestBadRequests(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	ddg := ddgFor(t, "vvmul", 4)
+	// A valid unit padded with # comment lines to one byte past the cap: it
+	// parses if and only if nothing caps the body.
+	comment := "#" + strings.Repeat(" ", 62) + "\n"
+	oversized := (ddg + strings.Repeat(comment, MaxBodyBytes/len(comment)+1))[:MaxBodyBytes+1]
 
 	cases := []struct {
 		name, query, body string
@@ -188,6 +192,7 @@ func TestBadRequests(t *testing.T) {
 		want              int
 	}{
 		{"unknown machine", "machine=quantum9", ddg, "POST", 400},
+		{"oversized body", "machine=vliw4", oversized, "POST", 400},
 		{"garbage body", "machine=vliw4", "instruction soup", "POST", 400},
 		{"bad deadline", "machine=vliw4&deadline=yesterday", ddg, "POST", 400},
 		{"bad scheduler", "machine=vliw4&scheduler=oracle", ddg, "POST", 400},
@@ -208,7 +213,9 @@ func TestBadRequests(t *testing.T) {
 			if resp.StatusCode != tc.want {
 				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.want, body)
 			}
-			decodeError(t, body)
+			if e := decodeError(t, body); e.Kind != "bad-request" {
+				t.Errorf("kind %q, want bad-request", e.Kind)
+			}
 		})
 	}
 }
