@@ -6,10 +6,11 @@
 //	convsched -machine raw16 -scheduler convergent [-seed 2002] [-show schedule] graph.ddg
 //	convsched -machine raw16 [-j 8] a.ddg b.ddg dir-of-ddgs/
 //
-// Schedulers: convergent (the paper's), rawcc, uas, pcc, list (critical-path
-// list scheduling on cluster 0 homes only — a sanity baseline). With -tuned
-// the convergent scheduler uses the oracle-tuned pass sequence
-// (passes.TunedForMachine) instead of the published one.
+// Schedulers: convergent (the paper's, with the published pass sequence),
+// convergent-tuned (the same scheduler with the oracle-tuned sequence,
+// passes.TunedForMachine), rawcc, uas, pcc, list (critical-path list
+// scheduling on cluster 0 homes only — a sanity baseline). schedd accepts
+// the same names; robust.Select maps them to ladders.
 // Machines: rawN (N tiles) or vliwN (N clusters).
 // Show: stats (default), schedule, assignment, dot, trace, report.
 //
@@ -67,7 +68,6 @@ type options struct {
 	machine   string
 	scheduler string
 	seed      int64
-	tuned     bool
 	show      string
 	verify    bool
 	timeout   time.Duration
@@ -85,9 +85,8 @@ type options struct {
 func main() {
 	var o options
 	flag.StringVar(&o.machine, "machine", "raw16", "target machine (rawN or vliwN)")
-	flag.StringVar(&o.scheduler, "scheduler", "convergent", "convergent|rawcc|uas|pcc|list")
+	flag.StringVar(&o.scheduler, "scheduler", "convergent", "convergent|convergent-tuned|rawcc|uas|pcc|list")
 	flag.Int64Var(&o.seed, "seed", 2002, "noise seed for the convergent scheduler")
-	flag.BoolVar(&o.tuned, "tuned", false, "use the oracle-tuned pass sequence instead of the published one (convergent scheduler only)")
 	flag.StringVar(&o.show, "show", "stats", "stats|schedule|assignment|dot|trace|report")
 	flag.BoolVar(&o.verify, "verify", true, "simulate the schedule and compare against reference execution")
 	flag.DurationVar(&o.timeout, "timeout", 0, "time budget per scheduling attempt (0 = unbounded)")
@@ -150,9 +149,6 @@ func run(o options, args []string) error {
 	if err != nil {
 		return err
 	}
-	if o.tuned && o.scheduler != "convergent" {
-		return fmt.Errorf("-tuned selects a convergent pass sequence; use -scheduler convergent, not %q", o.scheduler)
-	}
 	paths, err := expandInputs(args)
 	if err != nil {
 		return err
@@ -195,27 +191,15 @@ func run(o options, args []string) error {
 
 	if o.show == "trace" {
 		// The per-pass trace exists only inside the convergent driver.
-		if o.scheduler != "convergent" {
-			return fmt.Errorf("-show trace requires -scheduler convergent")
+		if o.scheduler != "convergent" && o.scheduler != "convergent-tuned" {
+			return fmt.Errorf("-show trace requires -scheduler convergent or convergent-tuned")
 		}
 		if o.chaos != "" {
 			return fmt.Errorf("-show trace cannot be combined with -chaos")
 		}
 	}
-
-	var ladder []robust.Rung
-	if o.chaos != "" {
-		if o.scheduler != "convergent" {
-			return fmt.Errorf("-chaos poisons the convergent ladder; use -scheduler convergent, not %q", o.scheduler)
-		}
-		if o.tuned {
-			return fmt.Errorf("-tuned cannot be combined with -chaos (the chaos ladder pins the published sequence)")
-		}
-		chaos := faultinject.Chaos{Class: o.chaos, Seed: o.chaosSeed}
-		if ladder, err = chaos.Ladder(m, o.seed); err != nil {
-			return fmt.Errorf("%w (see -chaos-list)", err)
-		}
-	} else if ladder, _, err = ladderFor(o, m); err != nil {
+	opts, _, err := driverOptions(o, m)
+	if err != nil {
 		return err
 	}
 
@@ -225,12 +209,7 @@ func run(o options, args []string) error {
 		tr = obs.NewTrace(g.Name, m.Name)
 		ctx = obs.WithTrace(ctx, tr)
 	}
-	s, rep, err := robust.Schedule(ctx, g, m, robust.Options{
-		Timeout: o.timeout,
-		Verify:  o.verify,
-		Ladder:  ladder,
-		Seed:    o.seed,
-	})
+	s, rep, err := robust.Schedule(ctx, g, m, opts)
 	// The trace is written even when every rung failed: the recorded pass
 	// deltas and attempts are exactly what explains the failure.
 	if o.traceOut != "" {
@@ -249,30 +228,27 @@ func run(o options, args []string) error {
 	return show(o, g, m, s, rep, tr)
 }
 
-// ladderFor builds the ladder the options select and its cache identity,
-// for both single-input and batch mode. The convergent fallback ladder is
-// robust's default: it comes back nil with an empty identity, so robust
-// walks DefaultLadder(m, seed) and the engine identifies it itself
-// (robust.DefaultLadderID). Every other identity comes from robust and
-// embeds the pass sequence of each convergent rung.
-func ladderFor(o options, m *machine.Model) ([]robust.Rung, string, error) {
-	switch {
-	case o.tuned && o.fallback:
-		return robust.TunedLadder(m, o.seed), robust.TunedLadderID(m, o.seed), nil
-	case o.tuned:
-		r, id := robust.TunedRung(m, o.seed)
-		return []robust.Rung{r}, id, nil
-	case o.fallback && o.scheduler == "convergent":
-		return nil, "", nil
-	case o.fallback:
-		return robust.LadderFor(m, o.scheduler, o.seed)
-	default:
-		r, id, err := robust.RungFor(m, o.scheduler, o.seed)
-		if err != nil {
-			return nil, "", err
+// driverOptions resolves the flags into the resilient driver's options and
+// the ladder's cache identity, for single-input and batch mode alike: the
+// chaos-poisoned default ladder under -chaos, robust.Select's otherwise.
+func driverOptions(o options, m *machine.Model) (robust.Options, string, error) {
+	var ladder []robust.Rung
+	var id string
+	var err error
+	if o.chaos != "" {
+		// The chaos ladder pins the published sequence, so it poisons
+		// convergent and nothing else — not even convergent-tuned.
+		if o.scheduler != "convergent" {
+			return robust.Options{}, "", fmt.Errorf("-chaos poisons the published convergent ladder; use -scheduler convergent, not %q", o.scheduler)
 		}
-		return []robust.Rung{r}, id, nil
+		chaos := faultinject.Chaos{Class: o.chaos, Seed: o.chaosSeed}
+		if ladder, id, err = chaos.Ladder(m, o.seed); err != nil {
+			return robust.Options{}, "", fmt.Errorf("%w (see -chaos-list)", err)
+		}
+	} else if ladder, id, err = robust.Select(m, o.scheduler, o.fallback, o.seed); err != nil {
+		return robust.Options{}, "", err
 	}
+	return robust.Options{Timeout: o.timeout, Verify: o.verify, Ladder: ladder, Seed: o.seed}, id, nil
 }
 
 // runBatch schedules every input unit over the engine's worker pool with the
@@ -288,7 +264,7 @@ func runBatch(o options, m *machine.Model, paths []string) error {
 	}
 
 	// The ladder is shared by every unit in the batch.
-	ladder, ladderID, err := ladderFor(o, m)
+	opts, ladderID, err := driverOptions(o, m)
 	if err != nil {
 		return err
 	}
@@ -299,18 +275,7 @@ func runBatch(o options, m *machine.Model, paths []string) error {
 		if err != nil {
 			return err
 		}
-		jobs[i] = engine.Job{
-			ID:      p,
-			Graph:   g,
-			Machine: m,
-			Opts: robust.Options{
-				Timeout: o.timeout,
-				Verify:  o.verify,
-				Ladder:  ladder,
-				Seed:    o.seed,
-			},
-			LadderID: ladderID,
-		}
+		jobs[i] = engine.Job{ID: p, Graph: g, Machine: m, Opts: opts, LadderID: ladderID}
 	}
 
 	e := engine.New(o.jobs, o.cacheSize)

@@ -10,6 +10,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/faultinject"
 	"repro/internal/irtext"
+	"repro/internal/machine"
+	"repro/internal/robust"
 )
 
 // opts builds the default flag set for tests.
@@ -62,7 +64,7 @@ func writeKernel(t *testing.T, name string, clusters int) string {
 
 func TestRunAllSchedulers(t *testing.T) {
 	path := writeKernel(t, "vvmul", 4)
-	for _, sched := range []string{"convergent", "rawcc", "uas", "pcc", "list"} {
+	for _, sched := range selectorNames {
 		out, err := capture(t, func() error {
 			return run(opts("vliw4", sched, "stats", true), []string{path})
 		})
@@ -203,15 +205,78 @@ func TestChaosFallsThroughToBaseline(t *testing.T) {
 	}
 }
 
+// TestChaosRequiresConvergent: the chaos ladder poisons the published
+// sequence, so -chaos rejects every other scheduler, convergent-tuned too.
 func TestChaosRequiresConvergent(t *testing.T) {
 	path := writeKernel(t, "vvmul", 4)
-	o := opts("vliw4", "uas", "stats", false)
-	o.chaos = faultinject.ChaosPassPanic
-	if _, err := capture(t, func() error {
-		return run(o, []string{path})
-	}); err == nil {
-		t.Error("chaos with a non-convergent scheduler accepted")
+	for _, sched := range []string{"uas", "convergent-tuned"} {
+		o := opts("vliw4", sched, "stats", false)
+		o.chaos = faultinject.ChaosPassPanic
+		if _, err := capture(t, func() error {
+			return run(o, []string{path})
+		}); err == nil {
+			t.Errorf("chaos with -scheduler %s accepted", sched)
+		}
 	}
+}
+
+// TestShowTraceTuned: the per-pass trace exists for either convergent pass
+// sequence.
+func TestShowTraceTuned(t *testing.T) {
+	path := writeKernel(t, "vvmul", 4)
+	out, err := capture(t, func() error {
+		return run(opts("vliw4", "convergent-tuned", "trace", false), []string{path})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "changed") {
+		t.Errorf("no per-pass trace for convergent-tuned:\n%s", out)
+	}
+}
+
+// TestDriverOptionsMatchSelect: the local path resolves every scheduler
+// name, with and without fallback, to exactly the rungs and cache identity
+// robust.Select gives, and rejects the names Select rejects.
+func TestDriverOptionsMatchSelect(t *testing.T) {
+	m, err := machine.Named("vliw4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range append(selectorNames, "oracle") {
+		for _, fallback := range []bool{false, true} {
+			o := opts("vliw4", name, "stats", true)
+			o.fallback = fallback
+			d, id, err := driverOptions(o, m)
+			ladder, wantID, serr := robust.Select(m, name, fallback, o.seed)
+			if (err == nil) != (serr == nil) {
+				t.Errorf("%s fallback=%v: local error %v, Select error %v", name, fallback, err, serr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if got, want := rungNames(d.Ladder), rungNames(ladder); got != want {
+				t.Errorf("%s fallback=%v: local rungs %s, Select rungs %s", name, fallback, got, want)
+			}
+			if id != wantID {
+				t.Errorf("%s fallback=%v: local ladder ID %s, Select ID %s", name, fallback, id, wantID)
+			}
+		}
+	}
+}
+
+// selectorNames lists every scheduler name robust.Select accepts.
+var selectorNames = []string{"convergent", "convergent-tuned", "rawcc", "uas", "pcc", "list"}
+
+// rungNames joins a ladder's rung names, the part of a ladder tests can
+// compare.
+func rungNames(ladder []robust.Rung) string {
+	names := make([]string, len(ladder))
+	for i, r := range ladder {
+		names[i] = r.Name
+	}
+	return strings.Join(names, ">")
 }
 
 func TestUnknownChaosClass(t *testing.T) {

@@ -51,9 +51,6 @@ func runRemote(o options, paths []string) error {
 	if o.chaos != "" {
 		return fmt.Errorf("-chaos is server-side in remote mode; start schedd -chaos instead")
 	}
-	if o.tuned {
-		return fmt.Errorf("-tuned is local; schedd serves the published pass sequence")
-	}
 	if o.show != "stats" {
 		return fmt.Errorf("-show %s is a local feature; remote mode prints stats", o.show)
 	}

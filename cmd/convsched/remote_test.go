@@ -91,12 +91,6 @@ func TestRunRemoteErrors(t *testing.T) {
 	}
 
 	o = remoteOpts(ts)
-	o.tuned = true
-	if _, err := capture(t, func() error { return run(o, []string{a}) }); err == nil {
-		t.Error("-tuned with -serve-addr should be rejected")
-	}
-
-	o = remoteOpts(ts)
 	o.show = "schedule"
 	if _, err := capture(t, func() error { return run(o, []string{a}) }); err == nil {
 		t.Error("-show schedule with -serve-addr should be rejected")
@@ -110,6 +104,24 @@ func TestRunRemoteErrors(t *testing.T) {
 	out, err := capture(t, func() error { return run(o, []string{bad}) })
 	if err == nil || !strings.Contains(err.Error(), "1 of 1 units failed") {
 		t.Errorf("bad unit: err=%v out=%s", err, out)
+	}
+}
+
+// TestRunRemoteSelectorNames: schedd accepts exactly the scheduler names
+// the local path does, with and without fallback.
+func TestRunRemoteSelectorNames(t *testing.T) {
+	ts := httptest.NewServer(server.New(server.Config{Seed: 2002}).Handler())
+	defer ts.Close()
+	a := writeKernel(t, "vvmul", 4)
+	for _, name := range append(selectorNames, "oracle") {
+		for _, fallback := range []bool{false, true} {
+			o := remoteOpts(ts)
+			o.scheduler, o.fallback = name, fallback
+			out, err := capture(t, func() error { return run(o, []string{a}) })
+			if accepted := name != "oracle"; (err == nil) != accepted {
+				t.Errorf("%s fallback=%v: remote err=%v, want accepted=%v\n%s", name, fallback, err, accepted, out)
+			}
+		}
 	}
 }
 

@@ -308,6 +308,8 @@ func (e *Engine) keyFor(job Job) (string, ir.Canonical, bool) {
 		if job.Opts.Ladder != nil {
 			return "", ir.Canonical{}, false
 		}
+		// The identity robust.Select gives the default ladder, without
+		// building the ladder on every warm hit.
 		ladderID = "default:" + robust.DefaultLadderID(job.Machine, job.Opts.Seed)
 	}
 	memID := job.MemoryID

@@ -27,7 +27,7 @@ import (
 // rung so reference results are cheap and deterministic.
 func persistJobs(t *testing.T, m *machine.Model, kernels []bench.Kernel, scheduler string) []engine.Job {
 	t.Helper()
-	r, _, err := robust.RungFor(m, scheduler, diffSeed)
+	ladder, _, err := robust.Select(m, scheduler, false, diffSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func persistJobs(t *testing.T, m *machine.Model, kernels []bench.Kernel, schedul
 			ID:       k.Name,
 			Graph:    k.Build(m.NumClusters),
 			Machine:  m,
-			Opts:     robust.Options{Seed: diffSeed, Ladder: []robust.Rung{r}},
+			Opts:     robust.Options{Seed: diffSeed, Ladder: ladder},
 			LadderID: fmt.Sprintf("rung:%s:seed=%d", scheduler, diffSeed),
 		}
 	}
@@ -134,10 +134,7 @@ func TestWarmRestartMatchesSerial(t *testing.T) {
 // corruption sweep stays cheap.
 func tinyJobs(t *testing.T, m *machine.Model, n int) []engine.Job {
 	t.Helper()
-	r, _, err := robust.RungFor(m, "list", diffSeed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ladder := []robust.Rung{robust.ListRung(m)}
 	jobs := make([]engine.Job, n)
 	for i := range jobs {
 		g := ir.New(fmt.Sprintf("tiny%d", i))
@@ -149,7 +146,7 @@ func tinyJobs(t *testing.T, m *machine.Model, n int) []engine.Job {
 			ID:       g.Name,
 			Graph:    g,
 			Machine:  m,
-			Opts:     robust.Options{Seed: diffSeed, Ladder: []robust.Rung{r}},
+			Opts:     robust.Options{Seed: diffSeed, Ladder: ladder},
 			LadderID: fmt.Sprintf("rung:list:seed=%d", diffSeed),
 		}
 	}

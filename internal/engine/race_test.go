@@ -41,10 +41,7 @@ func TestConcurrentOverlappingKeys(t *testing.T) {
 	var computes atomic.Uint64
 	jobFor := func(v variant) Job {
 		g := v.k.Build(v.m.NumClusters)
-		rung, _, err := robust.RungFor(v.m, "list", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rung := robust.ListRung(v.m)
 		counted := robust.Rung{
 			Name: rung.Name,
 			Run: func(ctx context.Context, g *ir.Graph) (*schedule.Schedule, error) {

@@ -4,14 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/baseline/rawcc"
-	"repro/internal/baseline/uas"
 	"repro/internal/bench"
-	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/oracle"
-	"repro/internal/passes"
 	"repro/internal/robust"
 	"repro/internal/schedule"
 	"repro/internal/sim"
@@ -211,26 +207,21 @@ func oracleRow(name string, micro bool, build func(int) *ir.Graph, m *machine.Mo
 	}
 	row.Ladder, row.Served = ladder.Length(), rep.Served
 
-	defSched, err := convergentOnly(g, m, "convergent-default", passes.ForMachine(m.Name), mem)
+	defSched, err := selected(g, m, "convergent", mem)
 	if err != nil {
 		return nil, fmt.Errorf("exp: oracle default sequence %s on %s: %w", name, m.Name, err)
 	}
 	row.Default = defSched.Length()
 
-	tuned, err := convergentOnly(g, m, "convergent-tuned", passes.TunedForMachine(m.Name), mem)
+	tuned, err := selected(g, m, "convergent-tuned", mem)
 	if err != nil {
 		return nil, fmt.Errorf("exp: oracle tuned sequence %s on %s: %w", name, m.Name, err)
 	}
 	row.Tuned = tuned.Length()
 
-	var base *schedule.Schedule
-	if isRaw(m.Name) {
-		row.BaselineName = "rawcc"
-		base, err = guarded("rawcc", func() (*schedule.Schedule, error) { return rawcc.Schedule(g, m) })
-	} else {
-		row.BaselineName = "uas"
-		base, err = guarded("uas", func() (*schedule.Schedule, error) { return uas.Schedule(g, m) })
-	}
+	baseline := robust.BaselineRung(m)
+	row.BaselineName = baseline.Name
+	base, err := guarded(baseline.Name, func() (*schedule.Schedule, error) { return baseline.Run(context.Background(), g) })
 	if err != nil {
 		return nil, fmt.Errorf("exp: oracle %s %s on %s: %w", row.BaselineName, name, m.Name, err)
 	}
@@ -264,19 +255,19 @@ func oracleRow(name string, micro bool, build func(int) *ir.Graph, m *machine.Mo
 	return row, nil
 }
 
-// convergentOnly schedules with a single convergent rung — no fallback, so
-// a sequence that cannot schedule the kernel is an error, exactly as in
-// the tuning cost function.
-func convergentOnly(g *ir.Graph, m *machine.Model, name string, seq []core.Pass, mem sim.Memory) (*schedule.Schedule, error) {
+// selected schedules with the named scheduler alone — no fallback, so a
+// sequence that cannot schedule the kernel is an error, exactly as in the
+// tuning cost function.
+func selected(g *ir.Graph, m *machine.Model, scheduler string, mem sim.Memory) (*schedule.Schedule, error) {
+	ladder, _, err := robust.Select(m, scheduler, false, Seed)
+	if err != nil {
+		return nil, err
+	}
 	s, _, err := robust.Schedule(context.Background(), g, m, robust.Options{
 		Seed:       Seed,
 		Verify:     true,
 		InitMemory: mem,
-		Ladder:     []robust.Rung{robust.ConvergentRung(name, m, seq, Seed)},
+		Ladder:     ladder,
 	})
 	return s, err
-}
-
-func isRaw(name string) bool {
-	return len(name) >= 3 && name[:3] == "raw"
 }

@@ -50,7 +50,7 @@ func Resilience(machines []*machine.Model, kernels []string, timeout time.Durati
 			mem := k.InitMemory(m.NumClusters)
 			for _, class := range faultinject.Classes() {
 				chaos := faultinject.Chaos{Class: class, Seed: Seed, Stall: 10 * timeout}
-				ladder, err := chaos.Ladder(m, Seed)
+				ladder, _, err := chaos.Ladder(m, Seed)
 				if err != nil {
 					return nil, err
 				}

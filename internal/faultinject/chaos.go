@@ -132,7 +132,10 @@ func prependPass(p core.Pass, seq []core.Pass) []core.Pass {
 // Schedule-corruption classes wrap only the primary rung's output,
 // modelling a single faulty scheduler. Corrupted rungs are renamed with a
 // "!class" suffix so reports show exactly what was injected where.
-func (c Chaos) Ladder(m *machine.Model, seed int64) ([]robust.Rung, error) {
+//
+// The returned cache identity names the class and both seeds, so a
+// chaos-mode service never serves schedules cached under another fault.
+func (c Chaos) Ladder(m *machine.Model, seed int64) ([]robust.Rung, string, error) {
 	ladder := robust.DefaultLadder(m, seed)
 	seq := passes.ForMachine(m.Name)
 	trunc := robust.TruncatedSequence(seq)
@@ -169,11 +172,11 @@ func (c Chaos) Ladder(m *machine.Model, seed int64) ([]robust.Rung, error) {
 		ladder[1] = robust.ConvergentRung("convergent-truncated!"+c.Class, liar, trunc, seed+1)
 	default:
 		if !isScheduleClass(c.Class) {
-			return nil, fmt.Errorf("faultinject: unknown chaos class %q", c.Class)
+			return nil, "", fmt.Errorf("faultinject: unknown chaos class %q", c.Class)
 		}
 		ladder[0] = wrapOutput(ladder[0], c.Class, c.Seed)
 	}
-	return ladder, nil
+	return ladder, fmt.Sprintf("chaos:%s:%d:seed=%d", c.Class, c.Seed, seed), nil
 }
 
 func isScheduleClass(class string) bool {

@@ -192,7 +192,19 @@ func TestRewireArg(t *testing.T) {
 }
 
 func TestChaosUnknownClass(t *testing.T) {
-	if _, err := (faultinject.Chaos{Class: "no-such-fault"}).Ladder(machine.Chorus(4), 1); err == nil {
+	if _, _, err := (faultinject.Chaos{Class: "no-such-fault"}).Ladder(machine.Chorus(4), 1); err == nil {
 		t.Error("unknown chaos class accepted")
+	}
+}
+
+// TestChaosLadderID pins the chaos cache identity: the class and both
+// seeds, so a chaos-mode store never serves another fault's schedules.
+func TestChaosLadderID(t *testing.T) {
+	_, id, err := faultinject.Chaos{Class: faultinject.ChaosPassPanic, Seed: 7}.Ladder(machine.Chorus(4), 2002)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "chaos:pass-panic:7:seed=2002"; id != want {
+		t.Errorf("chaos ladder ID %q, want %q", id, want)
 	}
 }

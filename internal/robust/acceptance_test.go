@@ -28,7 +28,7 @@ func TestPoisonedPassFallsThroughToBaseline(t *testing.T) {
 		k := mustKernel(t, tc.kernel)
 		g := k.Build(tc.m.NumClusters)
 		chaos := faultinject.Chaos{Class: faultinject.ChaosPassPanic, Seed: 1}
-		ladder, err := chaos.Ladder(tc.m, 2002)
+		ladder, _, err := chaos.Ladder(tc.m, 2002)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.m.Name, err)
 		}
@@ -66,7 +66,7 @@ func TestStalledPassDeadlinesToBaseline(t *testing.T) {
 	k := mustKernel(t, "vvmul")
 	g := k.Build(4)
 	chaos := faultinject.Chaos{Class: faultinject.ChaosPassStall, Seed: 1, Stall: 5 * time.Second}
-	ladder, err := chaos.Ladder(m, 2002)
+	ladder, _, err := chaos.Ladder(m, 2002)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestEveryKernelSurvivesEveryChaosClass(t *testing.T) {
 			mem := k.InitMemory(m.NumClusters)
 			for _, class := range faultinject.Classes() {
 				chaos := faultinject.Chaos{Class: class, Seed: 7, Stall: 5 * time.Second}
-				ladder, err := chaos.Ladder(m, 2002)
+				ladder, _, err := chaos.Ladder(m, 2002)
 				if err != nil {
 					t.Fatalf("%s: %v", class, err)
 				}

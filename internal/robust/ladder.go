@@ -93,29 +93,14 @@ func DefaultLadder(m *machine.Model, seed int64) []Rung {
 
 // DefaultLadderID returns a stable textual identity of the ladder that
 // DefaultLadder(m, seed) builds: the pass-sequence identities and seeds of
-// both convergent rungs plus the machine's baseline rung name. It is the
-// cache-key component internal/engine uses for default-ladder scheduling
-// requests, so it must change whenever DefaultLadder would walk different
-// schedulers — a new pass in the sequence, a different truncation, or a
-// different baseline all change the ID.
+// both convergent rungs plus the machine's baseline rung name. Prefixed
+// with "default:", it is the cache-key component of every default-ladder
+// job (Select's and internal/engine's nil-ladder keying), so it must change
+// whenever DefaultLadder would walk different schedulers — a new pass in
+// the sequence, a different truncation, or a different baseline all change
+// the ID.
 func DefaultLadderID(m *machine.Model, seed int64) string {
 	return ladderID(m, "convergent", passes.ForMachine(m.Name), seed)
-}
-
-// TunedLadder is DefaultLadder with the oracle-tuned pass sequence
-// (passes.TunedForMachine) in both convergent rungs. The fallback rungs are
-// unchanged: tuning moves cycles on the healthy path, not the degradation
-// story.
-func TunedLadder(m *machine.Model, seed int64) []Rung {
-	return ladder(m, "convergent-tuned", passes.TunedForMachine(m.Name), seed)
-}
-
-// TunedLadderID is the cache identity of TunedLadder(m, seed), mirroring
-// DefaultLadderID: it embeds the tuned sequence's identity, so retuning the
-// shipped sequence changes the ID and can never serve stale cached
-// schedules.
-func TunedLadderID(m *machine.Model, seed int64) string {
-	return ladderID(m, "convergent-tuned", passes.TunedForMachine(m.Name), seed)
 }
 
 // ladder builds the four-rung degradation ladder over seq: the full and the
@@ -143,23 +128,32 @@ func convergentID(name string, seq []core.Pass, seed int64) string {
 	return fmt.Sprintf("%s[%s|seed=%d]", name, core.SequenceID(seq), seed)
 }
 
-// TunedRung is the single convergent rung over the oracle-tuned pass
-// sequence, with its cache identity.
-func TunedRung(m *machine.Model, seed int64) (Rung, string) {
-	seq := passes.TunedForMachine(m.Name)
-	return ConvergentRung("convergent-tuned", m, seq, seed), convergentID("convergent-tuned", seq, seed)
-}
-
-// RungFor returns the single rung for a scheduler name as accepted by
-// cmd/convsched (convergent, rawcc, uas, pcc or list) and its cache
-// identity. The convergent rung's identity embeds its pass sequence, so a
-// changed sequence can never serve schedules persisted under the old one.
-func RungFor(m *machine.Model, scheduler string, seed int64) (Rung, string, error) {
+// Select builds the ladder for a scheduler name and the fallback choice,
+// with its cache identity. It is the one place that maps the names schedd
+// and convsched accept — convergent, convergent-tuned (the oracle-tuned
+// pass sequence, passes.TunedForMachine), rawcc, uas, pcc and list — to
+// rungs:
+//
+//   - without fallback, the named scheduler alone;
+//   - a convergent scheduler with fallback, the four-rung degradation
+//     ladder over its pass sequence (for convergent, DefaultLadder);
+//   - any other scheduler with fallback, the named rung and then the list
+//     rung. Falling back from one baseline to another would silently
+//     re-label the experiment being run.
+//
+// A convergent rung's identity embeds its pass sequence, so a changed
+// sequence can never serve schedules persisted under the old one. The
+// baselines take no seed and no pass sequence: the name is all. The
+// default ladder's identity carries the "default:" prefix under which the
+// engine keys a job with a nil ladder, so both key it alike.
+func Select(m *machine.Model, scheduler string, fallback bool, seed int64) ([]Rung, string, error) {
+	var seq []core.Pass
 	var r Rung
 	switch scheduler {
 	case "convergent":
-		seq := passes.ForMachine(m.Name)
-		return ConvergentRung("convergent", m, seq, seed), convergentID("convergent", seq, seed), nil
+		seq = passes.ForMachine(m.Name)
+	case "convergent-tuned":
+		seq = passes.TunedForMachine(m.Name)
 	case "rawcc":
 		r = rawccRung(m)
 	case "uas":
@@ -171,27 +165,18 @@ func RungFor(m *machine.Model, scheduler string, seed int64) (Rung, string, erro
 	case "list":
 		r = ListRung(m)
 	default:
-		return Rung{}, "", fmt.Errorf("robust: unknown scheduler %q", scheduler)
+		return nil, "", fmt.Errorf("robust: unknown scheduler %q", scheduler)
 	}
-	// The baselines take no seed and no pass sequence: the name is all.
-	return r, r.Name, nil
-}
-
-// LadderFor builds the ladder whose primary rung is the named scheduler,
-// and its cache identity. The convergent primary gets the full default
-// ladder; any other primary degrades straight to the list baseline (falling
-// back from one baseline to another would silently re-label the experiment
-// being run).
-func LadderFor(m *machine.Model, scheduler string, seed int64) ([]Rung, string, error) {
-	if scheduler == "convergent" {
-		return DefaultLadder(m, seed), DefaultLadderID(m, seed), nil
+	switch {
+	case seq != nil && fallback && scheduler == "convergent":
+		return ladder(m, scheduler, seq, seed), "default:" + ladderID(m, scheduler, seq, seed), nil
+	case seq != nil && fallback:
+		return ladder(m, scheduler, seq, seed), ladderID(m, scheduler, seq, seed), nil
+	case seq != nil:
+		return []Rung{ConvergentRung(scheduler, m, seq, seed)}, convergentID(scheduler, seq, seed), nil
+	case fallback && scheduler != "list":
+		return []Rung{r, ListRung(m)}, r.Name + ">list", nil
+	default:
+		return []Rung{r}, r.Name, nil
 	}
-	primary, id, err := RungFor(m, scheduler, seed)
-	if err != nil {
-		return nil, "", err
-	}
-	if scheduler == "list" {
-		return []Rung{primary}, id, nil
-	}
-	return []Rung{primary, ListRung(m)}, id + ">list", nil
 }

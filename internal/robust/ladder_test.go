@@ -10,9 +10,10 @@ import (
 	"repro/internal/robust"
 )
 
-// TestLadderIDsPinned freezes the ladder identities. They are cache-key
-// parts that persisted stores depend on: a changed ID silently orphans every
-// stored schedule, so any change here must be deliberate.
+// TestLadderIDsPinned freezes the ladder identities robust.Select returns.
+// They are cache-key parts that persisted stores depend on: a changed ID
+// silently orphans every stored schedule, so any change here must be
+// deliberate.
 func TestLadderIDsPinned(t *testing.T) {
 	cases := []struct {
 		machine string
@@ -33,19 +34,27 @@ func TestLadderIDsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		id := robust.DefaultLadderID
+		// The default ladder is keyed under the "default:" prefix that the
+		// engine gives a nil-ladder job, so a request naming it and a job
+		// leaving it implicit share cached schedules.
+		scheduler, prefix := "convergent", "default:"
 		if c.tuned {
-			id = robust.TunedLadderID
+			scheduler, prefix = "convergent-tuned", ""
+		} else if got := robust.DefaultLadderID(m, 2002); got != c.want {
+			t.Errorf("%s default ladder ID changed:\n got %s\nwant %s", c.machine, got, c.want)
 		}
-		if got := id(m, 2002); got != c.want {
-			t.Errorf("%s tuned=%v ladder ID changed:\n got %s\nwant %s", c.machine, c.tuned, got, c.want)
+		_, got, err := robust.Select(m, scheduler, true, 2002)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != prefix+c.want {
+			t.Errorf("%s tuned=%v ladder ID changed:\n got %s\nwant %s%s", c.machine, c.tuned, got, prefix, c.want)
 		}
 	}
 
-	// Single rungs (RungFor, TunedRung) and non-default fallback ladders
-	// (LadderFor). A convergent rung's identity embeds its pass sequence,
-	// so a sequence change can never serve schedules persisted under the
-	// old one.
+	// Single rungs and non-convergent fallback ladders. A convergent
+	// rung's identity embeds its pass sequence, so a sequence change can
+	// never serve schedules persisted under the old one.
 	singles := []struct {
 		machine, scheduler string
 		fallback           bool
@@ -69,15 +78,7 @@ func TestLadderIDsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got string
-		switch {
-		case c.scheduler == "convergent-tuned":
-			_, got = robust.TunedRung(m, 2002)
-		case c.fallback:
-			_, got, err = robust.LadderFor(m, c.scheduler, 2002)
-		default:
-			_, got, err = robust.RungFor(m, c.scheduler, 2002)
-		}
+		_, got, err := robust.Select(m, c.scheduler, c.fallback, 2002)
 		if err != nil {
 			t.Fatal(err)
 		}

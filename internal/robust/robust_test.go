@@ -351,19 +351,44 @@ func TestGuard(t *testing.T) {
 	}
 }
 
-func TestLadderFor(t *testing.T) {
+// TestSelectLadders pins the rungs robust.Select builds for every scheduler
+// name, with and without fallback: a convergent scheduler degrades through
+// its truncated sequence, the baseline and the list rung; any other
+// scheduler straight to the list rung; no fallback means the named rung
+// alone.
+func TestSelectLadders(t *testing.T) {
 	m := machine.Chorus(4)
-	for name, wantLen := range map[string]int{"convergent": 4, "uas": 2, "pcc": 2, "list": 1} {
-		ladder, _, err := robust.LadderFor(m, name, 1)
-		if err != nil {
-			t.Errorf("LadderFor(%s): %v", name, err)
-			continue
-		}
-		if len(ladder) != wantLen {
-			t.Errorf("LadderFor(%s) has %d rungs, want %d", name, len(ladder), wantLen)
+	withFallback := map[string][]string{
+		"convergent":       {"convergent", "convergent-truncated", "uas", "list"},
+		"convergent-tuned": {"convergent-tuned", "convergent-tuned-truncated", "uas", "list"},
+		"rawcc":            {"rawcc", "list"},
+		"uas":              {"uas", "list"},
+		"pcc":              {"pcc", "list"},
+		"list":             {"list"},
+	}
+	for name, want := range withFallback {
+		for _, fallback := range []bool{false, true} {
+			ladder, _, err := robust.Select(m, name, fallback, 1)
+			if err != nil {
+				t.Errorf("Select(%s, fallback=%v): %v", name, fallback, err)
+				continue
+			}
+			var got []string
+			for _, r := range ladder {
+				got = append(got, r.Name)
+			}
+			wantRungs := want
+			if !fallback {
+				wantRungs = want[:1]
+			}
+			if strings.Join(got, ">") != strings.Join(wantRungs, ">") {
+				t.Errorf("Select(%s, fallback=%v) rungs %v, want %v", name, fallback, got, wantRungs)
+			}
 		}
 	}
-	if _, _, err := robust.LadderFor(m, "quantum", 1); err == nil {
-		t.Error("unknown scheduler accepted")
+	for _, fallback := range []bool{false, true} {
+		if _, _, err := robust.Select(m, "quantum", fallback, 1); err == nil {
+			t.Errorf("unknown scheduler accepted with fallback=%v", fallback)
+		}
 	}
 }

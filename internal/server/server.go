@@ -37,6 +37,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faultinject"
+	"repro/internal/ir"
 	"repro/internal/irtext"
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -505,16 +506,16 @@ func (s *Server) machineFor(name string) (machineEntry, error) {
 
 // scheduleRequest is everything parsed out of one /schedule call.
 type scheduleRequest struct {
-	mach      machineEntry
-	tenant    string // accounting identity (anonymous when no header)
-	class     string // the tenant's priority class
-	scheduler string
-	seed      int64
-	verify    bool
-	fallback  bool
-	timeout   time.Duration // per-attempt rung budget
-	deadline  time.Duration // whole-request budget (0 = client's own)
-	trace     bool          // attach the observability trace to the response
+	mach     machineEntry
+	tenant   string // accounting identity (anonymous when no header)
+	class    string // the tenant's priority class
+	ladder   []robust.Rung
+	ladderID string // the ladder's cache identity
+	seed     int64
+	verify   bool
+	timeout  time.Duration // per-attempt rung budget
+	deadline time.Duration // whole-request budget (0 = client's own)
+	trace    bool          // attach the observability trace to the response
 }
 
 // parseTenant extracts and validates the request's tenant identity from the
@@ -536,16 +537,17 @@ func parseTenant(r *http.Request) (string, error) {
 	return tenant, nil
 }
 
-// parseRequest validates the query parameters of a /schedule call.
+// parseRequest validates the query parameters of a /schedule call and
+// resolves its ladder, so every malformed request is a 400 before it waits
+// for a worker.
 func (s *Server) parseRequest(r *http.Request) (scheduleRequest, error) {
 	q := r.URL.Query()
 	req := scheduleRequest{
-		scheduler: "convergent",
-		seed:      s.cfg.Seed,
-		verify:    true,
-		fallback:  true,
-		timeout:   s.cfg.DefaultTimeout,
+		seed:    s.cfg.Seed,
+		verify:  true,
+		timeout: s.cfg.DefaultTimeout,
 	}
+	scheduler, fallback := "convergent", true
 	name := q.Get("machine")
 	if name == "" {
 		name = "raw16"
@@ -556,7 +558,7 @@ func (s *Server) parseRequest(r *http.Request) (scheduleRequest, error) {
 	}
 	req.mach = ent
 	if v := q.Get("scheduler"); v != "" {
-		req.scheduler = v
+		scheduler = v
 	}
 	if v := q.Get("seed"); v != "" {
 		seed, err := strconv.ParseInt(v, 10, 64)
@@ -578,7 +580,7 @@ func (s *Server) parseRequest(r *http.Request) (scheduleRequest, error) {
 	if err := parseBool("verify", &req.verify); err != nil {
 		return req, err
 	}
-	if err := parseBool("fallback", &req.fallback); err != nil {
+	if err := parseBool("fallback", &fallback); err != nil {
 		return req, err
 	}
 	if err := parseBool("trace", &req.trace); err != nil {
@@ -602,32 +604,36 @@ func (s *Server) parseRequest(r *http.Request) (scheduleRequest, error) {
 		}
 		req.deadline = d
 	}
-	return req, nil
+	req.ladder, req.ladderID, err = s.ladderFor(req.mach.model, scheduler, fallback, req.seed)
+	return req, err
 }
 
-// ladderFor builds the request's ladder and its cache identity, mirroring
-// cmd/convsched. Under Config.Chaos every request gets the chaos-poisoned
+// ladderFor builds the request's ladder and its cache identity with
+// robust.Select. Under Config.Chaos every request gets the chaos-poisoned
 // default ladder — the resilience mode.
-func (s *Server) ladderFor(req scheduleRequest) (ladder []robust.Rung, ladderID string, err error) {
+func (s *Server) ladderFor(m *machine.Model, scheduler string, fallback bool, seed int64) ([]robust.Rung, string, error) {
 	if s.cfg.Chaos != nil {
-		if ladder, err = s.cfg.Chaos.Ladder(req.mach.model, req.seed); err != nil {
-			return nil, "", err
-		}
-		return ladder, fmt.Sprintf("chaos:%s:%d:seed=%d", s.cfg.Chaos.Class, s.cfg.Chaos.Seed, req.seed), nil
+		return s.cfg.Chaos.Ladder(m, seed)
 	}
-	switch {
-	case req.fallback && req.scheduler == "convergent":
-		// Nil ladder: the driver walks DefaultLadder and the engine derives
-		// the cache identity itself.
-		return nil, "", nil
-	case req.fallback:
-		return robust.LadderFor(req.mach.model, req.scheduler, req.seed)
-	default:
-		r, id, err := robust.RungFor(req.mach.model, req.scheduler, req.seed)
-		if err != nil {
-			return nil, "", err
-		}
-		return []robust.Rung{r}, id, nil
+	return robust.Select(m, scheduler, fallback, seed)
+}
+
+// jobFor is the engine job serving a parsed request for graph g.
+func (s *Server) jobFor(req scheduleRequest, g *ir.Graph, tr *obs.Trace) engine.Job {
+	return engine.Job{
+		ID:      g.Name,
+		Graph:   g,
+		Machine: req.mach.model,
+		Opts: robust.Options{
+			Timeout:      req.timeout,
+			Verify:       req.verify,
+			Ladder:       req.ladder,
+			Seed:         req.seed,
+			Breakers:     s.breakers,
+			BreakerScope: req.mach.scope,
+		},
+		LadderID: req.ladderID,
+		Trace:    tr,
 	}
 }
 
@@ -735,32 +741,13 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	wait := time.Since(t0)
 	defer s.adm.releaseWorker()
 
-	ladder, ladderID, err := s.ladderFor(req)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, errorJSON{Kind: "bad-request", Message: err.Error()})
-		return
-	}
 	var tr *obs.Trace
 	if req.trace {
 		tr = obs.NewTrace(g.Name, req.mach.model.Name)
 		tr.SetTenant(req.tenant, req.class)
 		s.metrics.tracedRequests.Inc()
 	}
-	job := engine.Job{
-		ID:      g.Name,
-		Graph:   g,
-		Machine: req.mach.model,
-		Opts: robust.Options{
-			Timeout:      req.timeout,
-			Verify:       req.verify,
-			Ladder:       ladder,
-			Seed:         req.seed,
-			Breakers:     s.breakers,
-			BreakerScope: req.mach.scope,
-		},
-		LadderID: ladderID,
-		Trace:    tr,
-	}
+	job := s.jobFor(req, g, tr)
 	// Peer cache lookup before compute: a gateway-signed hint names the
 	// previous ring owner of this request's keyspace segment; on a local
 	// miss the record is fetched from it and imported through the legality

@@ -469,3 +469,97 @@ func TestBreakerSkipsAcrossRequests(t *testing.T) {
 		t.Error("/stats shows no open breakers after persistent rung failures")
 	}
 }
+
+// rungNames joins a ladder's rung names, the part of a ladder tests can
+// compare.
+func rungNames(ladder []robust.Rung) string {
+	names := make([]string, len(ladder))
+	for i, r := range ladder {
+		names[i] = r.Name
+	}
+	return strings.Join(names, ">")
+}
+
+// TestRequestLadderMatchesSelect: the request path resolves every scheduler
+// name, with and without fallback, to exactly the rungs and cache identity
+// robust.Select gives, and rejects the names Select rejects. A default
+// request keys exactly like a job that leaves the ladder to the engine, so
+// stores written under that nil-ladder key keep serving warm hits.
+func TestRequestLadderMatchesSelect(t *testing.T) {
+	s := New(Config{Seed: 2002})
+	m, err := machine.Named("vliw4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := irtext.ParseString(ddgFor(t, "vvmul", 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"convergent", "convergent-tuned", "rawcc", "uas", "pcc", "list", "oracle"} {
+		for _, fallback := range []bool{false, true} {
+			r := httptest.NewRequest("POST", fmt.Sprintf("/schedule?machine=vliw4&scheduler=%s&fallback=%v", name, fallback), nil)
+			req, err := s.parseRequest(r)
+			ladder, id, serr := robust.Select(m, name, fallback, 2002)
+			if (err == nil) != (serr == nil) {
+				t.Errorf("%s fallback=%v: request error %v, Select error %v", name, fallback, err, serr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			job := s.jobFor(req, g, nil)
+			if got, want := rungNames(job.Opts.Ladder), rungNames(ladder); got != want {
+				t.Errorf("%s fallback=%v: job rungs %s, Select rungs %s", name, fallback, got, want)
+			}
+			if job.LadderID != id {
+				t.Errorf("%s fallback=%v: job ladder ID %s, Select ID %s", name, fallback, job.LadderID, id)
+			}
+		}
+	}
+
+	req, err := s.parseRequest(httptest.NewRequest("POST", "/schedule?machine=vliw4", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := s.jobFor(req, g, nil)
+	implicit := job
+	implicit.Opts.Ladder, implicit.LadderID = nil, ""
+	got, ok := s.engine.CacheKey(job)
+	want, wantOK := s.engine.CacheKey(implicit)
+	if !ok || !wantOK || got != want {
+		t.Errorf("default request key %q (cacheable %v), nil-ladder key %q (cacheable %v)", got, ok, want, wantOK)
+	}
+}
+
+// TestBadSchedulerRejectedBeforeWorkerWait: an unknown scheduler is a prompt
+// 400 even while every worker is busy. The request never queues for a
+// worker, so it counts as neither completed, failed nor timed out.
+func TestBadSchedulerRejectedBeforeWorkerWait(t *testing.T) {
+	s := New(Config{Workers: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	grant, cause, _ := s.adm.admit("")
+	if grant == nil {
+		t.Fatalf("holder not admitted: %s", cause)
+	}
+	if !s.adm.acquireWorker(grant, nil) {
+		t.Fatal("holder got no worker")
+	}
+	defer grant.release()
+	defer s.adm.releaseWorker()
+
+	t0 := time.Now()
+	code, body := post(t, ts, "machine=vliw4&scheduler=oracle&deadline=2s", ddgFor(t, "vvmul", 4))
+	if elapsed := time.Since(t0); elapsed > time.Second {
+		t.Errorf("bad scheduler answered after %v with every worker busy", elapsed)
+	}
+	if code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400: %s", code, body)
+	}
+	if e := decodeError(t, body); e.Kind != "bad-request" {
+		t.Errorf("kind %q, want bad-request", e.Kind)
+	}
+	if st := s.StatsSnapshot().Admission; st.Completed+st.Failed+st.Timeouts != 0 {
+		t.Errorf("rejected request counted: completed %d, failed %d, timeouts %d", st.Completed, st.Failed, st.Timeouts)
+	}
+}
