@@ -330,7 +330,7 @@ func runBatch(o options, m *machine.Model, paths []string) error {
 	if o.storeDir != "" {
 		p := st.Persist
 		fmt.Printf("store: %d recovered, %d flushed, %d dropped (queue full), %d live entries\n",
-			p.Recovery.Replayed, p.Flushed, p.Backpressure, p.Store.LiveEntries)
+			p.Recovery.Replayed, p.Flushed, p.Backpressure, st.Size)
 	}
 	if failed > 0 {
 		return fmt.Errorf("%d of %d units failed", failed, len(jobs))

@@ -20,9 +20,12 @@
 // With -store-dir the schedule cache is backed by a crash-safe persistent
 // store (internal/store): accepted schedules are mirrored to a CRC-framed
 // WAL behind the serving path, and a restarted daemon replays them through
-// the legality gate to come up with a warm cache. /readyz answers 503
-// "starting" until the replay completes; recovery counters appear in
-// /stats under engine.Persist.
+// the legality gate to come up with a warm cache. The store holds what the
+// cache holds: every -cache-size appends it snapshots the cache's resident
+// entries, least recently used first, so -cache-size alone bounds memory,
+// snapshot size and recovery work. /readyz answers 503 "starting" until
+// the replay completes; recovery counters appear in /stats under
+// engine.Persist.
 //
 // Endpoints:
 //
@@ -77,9 +80,7 @@ type options struct {
 	breakerFailures int
 	breakerCooldown time.Duration
 
-	storeDir           string
-	storeSnapshotEvery int
-	storeNoSync        bool
+	storeDir string
 
 	tenantClasses multiFlag // -tenant-class, repeatable
 	tenantAssign  multiFlag // -tenant, repeatable
@@ -98,29 +99,6 @@ type multiFlag []string
 
 func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
 func (m *multiFlag) Set(v string) error { *m = append(*m, v); return nil }
-
-// keysFor merges the API-key flags into one KeySet: the -tenant-keys file
-// first, then repeatable -tenant-key specs layered on top.
-func keysFor(o options) (server.KeySet, error) {
-	var ks server.KeySet
-	if o.keyFile != "" {
-		var err error
-		if ks, err = server.LoadKeyFile(o.keyFile); err != nil {
-			return nil, err
-		}
-	}
-	for _, spec := range o.tenantKeys {
-		t, k, err := server.ParseKeySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		if ks == nil {
-			ks = make(server.KeySet)
-		}
-		ks[t] = k
-	}
-	return ks, nil
-}
 
 // tenancyFor merges the tenant-QoS flags into one validated config: the
 // -tenant-config file first, then repeatable -tenant-class / -tenant flags
@@ -193,8 +171,6 @@ func main() {
 	flag.Var(&o.tenantKeys, "tenant-key", "require this tenant to present its API key, e.g. acme=s3cret (repeatable; any key enables auth)")
 	flag.StringVar(&o.keyFile, "tenant-keys", "", "JSON file of {\"tenant\": \"secret\"} API keys")
 	flag.StringVar(&o.storeDir, "store-dir", "", "persist the schedule cache in this directory and warm-restart from it")
-	flag.IntVar(&o.storeSnapshotEvery, "store-snapshot-every", 1024, "WAL appends between snapshot compactions")
-	flag.BoolVar(&o.storeNoSync, "store-nosync", false, "skip store fsyncs (crash-unsafe; benchmarking only)")
 	chaosList := flag.Bool("chaos-list", false, "list chaos classes and exit")
 	flag.Parse()
 
@@ -222,19 +198,16 @@ func debugMux() *http.ServeMux {
 }
 
 // validateStoreFlags rejects store configurations that could only fail
-// later, before the listener is up: non-positive sizes, a store directory
-// whose parent does not exist (a typo, not a fresh deployment), and a store
-// without memoization to persist. A second daemon on the same -store-dir is
-// caught at open time by the store's lockfile.
+// later, before the listener is up: a store directory whose parent does not
+// exist (a typo, not a fresh deployment), and a store without memoization
+// to persist. A second daemon on the same -store-dir is caught at open time
+// by the store's lockfile.
 func validateStoreFlags(o options) error {
 	if o.storeDir == "" {
 		return nil
 	}
 	if o.cacheSize < 0 {
 		return errors.New("-store-dir requires memoization; it cannot be combined with a negative -cache-size")
-	}
-	if o.storeSnapshotEvery <= 0 {
-		return fmt.Errorf("-store-snapshot-every must be positive, got %d", o.storeSnapshotEvery)
 	}
 	parent := filepath.Dir(filepath.Clean(o.storeDir))
 	if st, err := os.Stat(parent); err != nil || !st.IsDir() {
@@ -264,7 +237,7 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 	if err != nil {
 		return err
 	}
-	keys, err := keysFor(o)
+	keys, err := server.LoadKeys(o.keyFile, o.tenantKeys)
 	if err != nil {
 		return err
 	}
@@ -284,10 +257,8 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 			Failures: o.breakerFailures,
 			Cooldown: o.breakerCooldown,
 		},
-		StoreDir:           o.storeDir,
-		StoreSnapshotEvery: o.storeSnapshotEvery,
-		StoreNoFsync:       o.storeNoSync,
-		Logf:               logger.Printf,
+		StoreDir: o.storeDir,
+		Logf:     logger.Printf,
 	}
 	if o.chaos != "" {
 		cfg.Chaos = &faultinject.Chaos{Class: o.chaos, Seed: o.chaosSeed, Stall: o.stall}
@@ -301,8 +272,8 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 		return fmt.Errorf("store %s: %w", o.storeDir, err)
 	}
 	if o.storeDir != "" {
-		logger.Printf("persistent store at %s (snapshot every %d); recovering",
-			o.storeDir, o.storeSnapshotEvery)
+		logger.Printf("persistent store at %s (snapshot every %d appends); recovering",
+			o.storeDir, o.cacheSize)
 	}
 
 	hs := &http.Server{Handler: s.Handler()}

@@ -138,7 +138,7 @@ func TestServeScheduleAndDrain(t *testing.T) {
 
 func TestValidateStoreFlags(t *testing.T) {
 	dir := t.TempDir()
-	good := options{storeDir: dir, storeSnapshotEvery: 1024, cacheSize: 256}
+	good := options{storeDir: dir, cacheSize: 256}
 	if err := validateStoreFlags(good); err != nil {
 		t.Fatalf("valid store flags rejected: %v", err)
 	}
@@ -150,7 +150,6 @@ func TestValidateStoreFlags(t *testing.T) {
 		mut  func(*options)
 	}{
 		{"negative cache", func(o *options) { o.cacheSize = -1 }},
-		{"zero snapshot interval", func(o *options) { o.storeSnapshotEvery = 0 }},
 		{"missing parent", func(o *options) { o.storeDir = dir + "/no/such/parent/store" }},
 	}
 	for _, c := range cases {
@@ -168,8 +167,7 @@ func TestStoreDuplicateDirRefused(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
 		queue: 8, cacheSize: 256, timeout: 2 * time.Second, drain: 5 * time.Second,
-		seed: 2002, storeDir: dir, storeSnapshotEvery: 16,
-		storeNoSync: true,
+		seed: 2002, storeDir: dir,
 	}
 	base, stop, done, _ := bootServe(t, o)
 	waitReady(t, base)
@@ -212,8 +210,7 @@ func TestServeStoreWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	o := options{
 		queue: 8, cacheSize: 256, timeout: 2 * time.Second, drain: 5 * time.Second,
-		seed: 2002, storeDir: dir, storeSnapshotEvery: 16,
-		storeNoSync: true,
+		seed: 2002, storeDir: dir,
 	}
 	k, ok := bench.ByName("vvmul")
 	if !ok {

@@ -107,28 +107,6 @@ func main() {
 	}
 }
 
-// keysFor merges the API-key flags, file first then repeatable specs on top.
-func keysFor(o options) (server.KeySet, error) {
-	var ks server.KeySet
-	if o.keyFile != "" {
-		var err error
-		if ks, err = server.LoadKeyFile(o.keyFile); err != nil {
-			return nil, err
-		}
-	}
-	for _, spec := range o.tenantKeys {
-		t, k, err := server.ParseKeySpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		if ks == nil {
-			ks = make(server.KeySet)
-		}
-		ks[t] = k
-	}
-	return ks, nil
-}
-
 // run builds the gateway, serves until a termination signal, then drains.
 func run(o options) error {
 	ln, err := net.Listen("tcp", o.addr)
@@ -143,7 +121,7 @@ func run(o options) error {
 // serve runs the gateway on ln until stop delivers, then drains. Split from
 // run so tests can drive it with their own listener and stop channel.
 func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger) error {
-	keys, err := keysFor(o)
+	keys, err := server.LoadKeys(o.keyFile, o.tenantKeys)
 	if err != nil {
 		return err
 	}

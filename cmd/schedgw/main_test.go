@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -18,34 +17,6 @@ import (
 	"repro/internal/irtext"
 	"repro/internal/server"
 )
-
-// TestKeysForMergesFileAndFlags: repeatable -tenant-key specs override the
-// -tenant-keys file, and bad specs fail loudly.
-func TestKeysForMergesFileAndFlags(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "keys.json")
-	if err := os.WriteFile(path, []byte(`{"acme": "from-file", "beta": "b2"}`), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	ks, err := keysFor(options{keyFile: path, tenantKeys: multiFlag{"acme=from-flag", "gamma=g3"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]string{"acme": "from-flag", "beta": "b2", "gamma": "g3"}
-	if len(ks) != len(want) {
-		t.Fatalf("got %d keys, want %d: %v", len(ks), len(want), ks)
-	}
-	for tenant, key := range want {
-		if ks[tenant] != key {
-			t.Errorf("keys[%q] = %q, want %q", tenant, ks[tenant], key)
-		}
-	}
-	if _, err := keysFor(options{tenantKeys: multiFlag{"no-equals-sign"}}); err == nil {
-		t.Error("malformed key spec accepted")
-	}
-	if ks, err := keysFor(options{}); err != nil || len(ks) != 0 {
-		t.Errorf("empty options: keys=%v err=%v", ks, err)
-	}
-}
 
 // TestServeLifecycle boots the daemon against a real in-process shard,
 // routes one request end to end, and drains it with a SIGTERM.

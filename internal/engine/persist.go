@@ -5,6 +5,12 @@ package engine
 // and replayed through the pristine-graph legality gate at startup so a
 // restarted engine serves warm hits instead of a cold start.
 //
+// The cache is the store's only live set. Every compaction snapshots the
+// resident entries least recently used first, so replay through cache.put
+// rebuilds the recency order, and the compaction interval is the cache
+// capacity: a snapshot holds at most cap records, the WAL tail after it
+// fewer than cap, and a recovery gate-checks fewer than 2·cap.
+//
 // The flush queue is bounded and lossy by design — persistence is an
 // optimization, never a dependency of the serving path. When the flusher
 // falls behind, entries are dropped and counted (Backpressure); a dropped
@@ -20,6 +26,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/irtext"
@@ -36,8 +43,6 @@ type PersistConfig struct {
 	FS store.FS
 	// QueueLen bounds the write-behind flush queue. Default 256.
 	QueueLen int
-	// SnapshotEvery passes through to store.Options.
-	SnapshotEvery int
 	// NoFsync skips fsyncs (crash-unsafe; tests and benchmarks).
 	NoFsync bool
 	// Logf receives operational messages; nil discards them.
@@ -63,8 +68,8 @@ type PersistStats struct {
 	// QueueDepth and QueueCapacity describe the flush queue right now.
 	QueueDepth    int `json:"queueDepth"`
 	QueueCapacity int `json:"queueCapacity"`
-	// Store carries the store's own counters (live set, generation,
-	// snapshots, IO errors).
+	// Store carries the store's own counters (generation, snapshots, IO
+	// errors).
 	Store store.Stats `json:"store"`
 }
 
@@ -112,7 +117,8 @@ func (e *Engine) AttachStore(cfg PersistConfig) error {
 		Dir:           cfg.Dir,
 		FS:            cfg.FS,
 		NoFsync:       cfg.NoFsync,
-		SnapshotEvery: cfg.SnapshotEvery,
+		SnapshotEvery: e.cache.cap,
+		Live:          e.liveRecords,
 	})
 	if err != nil {
 		return err
@@ -189,6 +195,15 @@ func verifyRecord(rec *store.Record) (entry, error) {
 		return entry{}, fmt.Errorf("legality gate rejected record: %w", err)
 	}
 	return ent, nil
+}
+
+// liveRecords is the store's compaction source: the resident exportable
+// entries, least recently used first. The store calls it under its own
+// mutex; it takes only the cache mutex, never the store's.
+func (e *Engine) liveRecords() []*store.Record {
+	recs := e.ExportHottest(e.cache.cap)
+	slices.Reverse(recs)
+	return recs
 }
 
 // loadRecord is the recovery gate: verifyRecord, then admission to the cache.

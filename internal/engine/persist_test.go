@@ -129,6 +129,88 @@ func TestWarmRestartMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestWarmRestartKeepsHotSet: the store persists the cache's live set, so a
+// restart after far more distinct units than the cache holds brings back
+// exactly the most recently scheduled ones, and recovery gate-checks fewer
+// than two cache capacities of records rather than every unit ever written.
+func TestWarmRestartKeepsHotSet(t *testing.T) {
+	const capacity, units = 64, 600
+	m, err := machine.Named("vliw4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ladder := []robust.Rung{robust.ListRung(m)}
+	jobs := make([]engine.Job, units)
+	for i := range jobs {
+		g := bench.RandomLayered(24, 4, m.NumClusters, int64(i+1))
+		jobs[i] = engine.Job{
+			ID:       fmt.Sprintf("rand%d", i),
+			Graph:    g,
+			Machine:  m,
+			Opts:     robust.Options{Seed: diffSeed, Ladder: ladder},
+			LadderID: fmt.Sprintf("rung:list:seed=%d", diffSeed),
+		}
+	}
+	cfg := engine.PersistConfig{Dir: t.TempDir(), NoFsync: true}
+
+	e1 := engine.New(1, capacity)
+	keys := make(map[string]bool, units)
+	for _, j := range jobs {
+		key, ok := e1.CacheKey(j)
+		if !ok || keys[key] {
+			t.Fatalf("%s: not a distinct cacheable unit", j.ID)
+		}
+		keys[key] = true
+	}
+	if err := e1.AttachStore(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e1.RecoverStore(); err != nil {
+		t.Fatal(err)
+	}
+	// Flushing after every unit pins each append right behind its insert,
+	// so every compaction snapshots exactly the cap units before it and
+	// the restart depends on the snapshot's recency order.
+	for _, j := range jobs {
+		if r := e1.Schedule(context.Background(), j); r.Err != nil || r.CacheHit {
+			t.Fatalf("%s: err %v, hit %v on a cold unit", j.ID, r.Err, r.CacheHit)
+		}
+		if err := e1.FlushStore(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e1.CloseStore(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := engine.New(1, capacity)
+	if err := e2.AttachStore(cfg); err != nil {
+		t.Fatal(err)
+	}
+	rs, err := e2.RecoverStore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e2.CloseStore()
+	if rs.Replayed >= 2*capacity {
+		t.Errorf("recovery gate-checked %d records, want < %d: %+v", rs.Replayed, 2*capacity, rs)
+	}
+	hits := 0
+	for _, j := range jobs[units-capacity:] {
+		r := e2.Schedule(context.Background(), j)
+		if r.Err != nil {
+			t.Fatalf("%s: %v", j.ID, r.Err)
+		}
+		if r.CacheHit {
+			hits++
+		}
+	}
+	if hits != capacity {
+		t.Errorf("%d of the %d most recently scheduled units came back warm", hits, capacity)
+	}
+	t.Logf("replayed %d records; %d of %d hot units warm", rs.Replayed, hits, capacity)
+}
+
 // tinyJobs builds jobs over small synthetic graphs (a short chain of adds)
 // so a recorded WAL is only a few hundred bytes and an exhaustive per-byte
 // corruption sweep stays cheap.

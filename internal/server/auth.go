@@ -29,8 +29,8 @@ const TenantKeyHeader = "X-Schedd-Key"
 // pre-auth behavior.
 type KeySet map[string]string
 
-// ParseKeySpec parses one -tenant-key flag value "tenant=secret".
-func ParseKeySpec(spec string) (tenant, key string, err error) {
+// parseKeySpec parses one -tenant-key flag value "tenant=secret".
+func parseKeySpec(spec string) (tenant, key string, err error) {
 	tenant, key, ok := strings.Cut(spec, "=")
 	if !ok || !ValidTenantName(tenant) || key == "" {
 		return "", "", fmt.Errorf("tenant key %q is not tenant=secret (tenant: 1-%d chars of [A-Za-z0-9._-], secret non-empty)",
@@ -39,8 +39,8 @@ func ParseKeySpec(spec string) (tenant, key string, err error) {
 	return tenant, key, nil
 }
 
-// LoadKeyFile reads a JSON file of {"tenant": "secret", ...}.
-func LoadKeyFile(path string) (KeySet, error) {
+// loadKeyFile reads a JSON file of {"tenant": "secret", ...}.
+func loadKeyFile(path string) (KeySet, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -53,6 +53,30 @@ func LoadKeyFile(path string) (KeySet, error) {
 		if !ValidTenantName(t) || k == "" {
 			return nil, fmt.Errorf("tenant key file %s: bad entry %q", path, t)
 		}
+	}
+	return ks, nil
+}
+
+// LoadKeys builds the key set of the -tenant-keys file (empty: none) with
+// the repeatable -tenant-key specs layered on top, a spec replacing the
+// file's key for the same tenant.
+func LoadKeys(file string, specs []string) (KeySet, error) {
+	var ks KeySet
+	if file != "" {
+		var err error
+		if ks, err = loadKeyFile(file); err != nil {
+			return nil, err
+		}
+	}
+	for _, spec := range specs {
+		t, k, err := parseKeySpec(spec)
+		if err != nil {
+			return nil, err
+		}
+		if ks == nil {
+			ks = make(KeySet)
+		}
+		ks[t] = k
 	}
 	return ks, nil
 }

@@ -116,12 +116,12 @@ func TestTenantKeyAuth(t *testing.T) {
 
 // TestKeySpecAndFile covers the flag/file plumbing for key sets.
 func TestKeySpecAndFile(t *testing.T) {
-	if tenant, key, err := ParseKeySpec("acme=s3cret"); err != nil || tenant != "acme" || key != "s3cret" {
-		t.Errorf("ParseKeySpec: %q %q %v", tenant, key, err)
+	if tenant, key, err := parseKeySpec("acme=s3cret"); err != nil || tenant != "acme" || key != "s3cret" {
+		t.Errorf("parseKeySpec: %q %q %v", tenant, key, err)
 	}
 	for _, bad := range []string{"", "acme", "acme=", "=s3cret", "bad name=x"} {
-		if _, _, err := ParseKeySpec(bad); err == nil {
-			t.Errorf("ParseKeySpec(%q) accepted", bad)
+		if _, _, err := parseKeySpec(bad); err == nil {
+			t.Errorf("parseKeySpec(%q) accepted", bad)
 		}
 	}
 
@@ -130,15 +130,43 @@ func TestKeySpecAndFile(t *testing.T) {
 	if err := writeFile(path, `{"acme": "s3cret", "beta": "hunter2"}`); err != nil {
 		t.Fatal(err)
 	}
-	ks, err := LoadKeyFile(path)
+	ks, err := loadKeyFile(path)
 	if err != nil || len(ks) != 2 || ks["acme"] != "s3cret" {
-		t.Fatalf("LoadKeyFile: %v %v", ks, err)
+		t.Fatalf("loadKeyFile: %v %v", ks, err)
 	}
 	if err := writeFile(path, `{"bad name": "x"}`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadKeyFile(path); err == nil {
-		t.Error("LoadKeyFile accepted an invalid tenant name")
+	if _, err := loadKeyFile(path); err == nil {
+		t.Error("loadKeyFile accepted an invalid tenant name")
+	}
+}
+
+// TestLoadKeysMergesFileAndSpecs: the -tenant-key specs schedd and schedgw
+// pass override the -tenant-keys file, and bad specs fail loudly.
+func TestLoadKeysMergesFileAndSpecs(t *testing.T) {
+	path := t.TempDir() + "/keys.json"
+	if err := writeFile(path, `{"acme": "from-file", "beta": "b2"}`); err != nil {
+		t.Fatal(err)
+	}
+	ks, err := LoadKeys(path, []string{"acme=from-flag", "gamma=g3"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{"acme": "from-flag", "beta": "b2", "gamma": "g3"}
+	if len(ks) != len(want) {
+		t.Fatalf("got %d keys, want %d: %v", len(ks), len(want), ks)
+	}
+	for tenant, key := range want {
+		if ks[tenant] != key {
+			t.Errorf("keys[%q] = %q, want %q", tenant, ks[tenant], key)
+		}
+	}
+	if _, err := LoadKeys("", []string{"no-equals-sign"}); err == nil {
+		t.Error("malformed key spec accepted")
+	}
+	if ks, err := LoadKeys("", nil); err != nil || len(ks) != 0 {
+		t.Errorf("no file, no specs: keys=%v err=%v", ks, err)
 	}
 }
 

@@ -88,8 +88,6 @@ type Config struct {
 	// StoreFS overrides the store's filesystem seam (fault injection); nil
 	// means the real filesystem.
 	StoreFS store.FS
-	// StoreSnapshotEvery passes through to store.Options.
-	StoreSnapshotEvery int
 	// StoreNoFsync skips fsyncs (crash-unsafe; tests and benchmarks).
 	StoreNoFsync bool
 	// ShardID, when non-empty, names this instance in a schedgw cluster: it
@@ -216,11 +214,10 @@ func (s *Server) OpenStore() error {
 		return nil
 	}
 	err := s.engine.AttachStore(engine.PersistConfig{
-		Dir:           s.cfg.StoreDir,
-		FS:            s.cfg.StoreFS,
-		SnapshotEvery: s.cfg.StoreSnapshotEvery,
-		NoFsync:       s.cfg.StoreNoFsync,
-		Logf:          s.cfg.Logf,
+		Dir:     s.cfg.StoreDir,
+		FS:      s.cfg.StoreFS,
+		NoFsync: s.cfg.StoreNoFsync,
+		Logf:    s.cfg.Logf,
 	})
 	if err != nil {
 		return err

@@ -21,6 +21,11 @@
 //	<dir>/wal-<gen>.log       appended records since snapshot <gen>
 //	<dir>/snap-<gen>.snap     compacted live set at generation <gen>
 //
+// The store keeps no record set of its own: a compaction writes exactly the
+// records Options.Live returns — for the engine, its resident cache entries,
+// least recently used first — so the persisted live set and its bound are
+// the cache's.
+//
 // Every data file starts with a 16-byte header (magic, format version,
 // kind, generation) and continues with frames:
 //
@@ -89,7 +94,7 @@ var (
 // detected as skew), and the placements/comms in canonical instruction
 // order exactly as the engine caches them.
 type Record struct {
-	// V is the record format version (RecordVersion; stamped by Append).
+	// V is the record format version (RecordVersion; stamped when written).
 	V int
 	// Key is the engine's 32-byte content-addressed cache key.
 	Key []byte
@@ -114,13 +119,14 @@ type Options struct {
 	// NoFsync skips every fsync — faster and crash-unsafe, for tests and
 	// benchmarks only.
 	NoFsync bool
-	// SnapshotEvery compacts the log after this many appends. Default 1024.
+	// SnapshotEvery compacts the log after this many appends; zero
+	// compacts only at the end of Recover.
 	SnapshotEvery int
-	// MaxEntries bounds the live set (and so snapshot size and recovery
-	// work). When full, an arbitrary entry is forgotten to admit the new
-	// one: bounded memory beats completeness, and a forgotten entry only
-	// costs a recomputation. Default 8192.
-	MaxEntries int
+	// Live is the compaction source: the records a snapshot holds, in
+	// replay order. It is called with the store's mutex held and must never
+	// call back into the store. Nil disables compaction, leaving the WALs
+	// as the only record.
+	Live func() []*Record
 }
 
 // Gate re-verifies one replayed record before it is accepted. A nil error
@@ -133,7 +139,7 @@ type Gate func(*Record) error
 type RecoveryStats struct {
 	// SnapshotGen is the generation of the snapshot replayed (0 = none).
 	SnapshotGen uint64 `json:"snapshotGen"`
-	// Replayed counts records accepted into the live set.
+	// Replayed counts records the gate accepted.
 	Replayed uint64 `json:"replayed"`
 	// DroppedCorrupt counts records rejected by CRC, decode, or a gate
 	// corruption verdict.
@@ -152,8 +158,6 @@ type RecoveryStats struct {
 
 // Stats is a point-in-time snapshot of the store's own counters.
 type Stats struct {
-	// LiveEntries is the current live-set size.
-	LiveEntries int `json:"liveEntries"`
 	// Generation is the current WAL/snapshot generation.
 	Generation uint64 `json:"generation"`
 	// Snapshots counts compactions performed by this instance.
@@ -178,7 +182,6 @@ type Store struct {
 	gen       uint64
 	wal       File
 	walBad    bool // last append tore the WAL tail; rotate before reuse
-	live      map[string][]byte
 	appends   int
 	snapshots uint64
 	appendErr uint64
@@ -195,12 +198,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.FS == nil {
 		opts.FS = OSFS{}
 	}
-	if opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 1024
-	}
-	if opts.MaxEntries <= 0 {
-		opts.MaxEntries = 8192
-	}
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
@@ -215,7 +212,7 @@ func Open(opts Options) (*Store, error) {
 	}
 	lock.Truncate(0)
 	fmt.Fprintf(lock, "%d\n", os.Getpid())
-	return &Store{opts: opts, fs: opts.FS, lock: lock, live: make(map[string][]byte)}, nil
+	return &Store{opts: opts, fs: opts.FS, lock: lock}, nil
 }
 
 // dataFile is one parsed wal-/snap- directory entry.
@@ -310,7 +307,7 @@ func (s *Store) Recover(gate Gate) (RecoveryStats, error) {
 	s.recovered = true
 	// More than one data file replayed means this directory has history
 	// worth folding down; compact so the next recovery reads one snapshot.
-	if len(snaps)+len(wals) > 1 && len(s.live) > 0 {
+	if len(snaps)+len(wals) > 1 && s.opts.Live != nil {
 		if err := s.compactLocked(); err != nil {
 			s.appendErr++
 		}
@@ -318,7 +315,7 @@ func (s *Store) Recover(gate Gate) (RecoveryStats, error) {
 	return rs, nil
 }
 
-// replayFile reads one data file's frames into the live set. It reports
+// replayFile offers one data file's records to the gate. It reports
 // whether the file header was valid; frame-level damage only moves stats.
 func (s *Store) replayFile(df dataFile, gate Gate, rs *RecoveryStats) bool {
 	f, err := s.fs.OpenFile(s.path(df.name), os.O_RDONLY, 0)
@@ -385,7 +382,6 @@ func (s *Store) replayFile(df dataFile, gate Gate, rs *RecoveryStats) bool {
 				continue
 			}
 		}
-		s.insertLiveLocked(string(rec.Key), payload)
 		rs.Replayed++
 	}
 }
@@ -430,20 +426,23 @@ func (s *Store) openWALLocked() error {
 	return nil
 }
 
-// insertLiveLocked adds or refreshes one live entry under the MaxEntries
-// bound, evicting an arbitrary victim when full.
-func (s *Store) insertLiveLocked(key string, payload []byte) {
-	if _, ok := s.live[key]; !ok && len(s.live) >= s.opts.MaxEntries {
-		for k := range s.live {
-			delete(s.live, k)
-			break
-		}
+// encode stamps the record version and gob-encodes one frame payload.
+func encode(rec *Record) ([]byte, error) {
+	if rec.V == 0 {
+		rec.V = RecordVersion
 	}
-	s.live[key] = payload
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	if buf.Len() > maxRecordLen {
+		return nil, fmt.Errorf("store: record of %d bytes exceeds frame limit", buf.Len())
+	}
+	return buf.Bytes(), nil
 }
 
-// Append writes one record to the WAL and the live set, compacting when the
-// snapshot interval is reached. Durability is the caller's Sync cadence. An
+// Append writes one record to the WAL, compacting when the snapshot
+// interval is reached. Durability is the caller's Sync cadence. An
 // IO error is returned (and counted) but leaves the store serving: the WAL
 // rotates to a clean file on the next append, so one torn write never
 // poisons everything after it.
@@ -459,18 +458,10 @@ func (s *Store) Append(rec *Record) error {
 	if len(rec.Key) == 0 {
 		return errors.New("store: record has no key")
 	}
-	if rec.V == 0 {
-		rec.V = RecordVersion
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
+	payload, err := encode(rec)
+	if err != nil {
 		s.appendErr++
-		return fmt.Errorf("store: %w", err)
-	}
-	payload := buf.Bytes()
-	if len(payload) > maxRecordLen {
-		s.appendErr++
-		return fmt.Errorf("store: record of %d bytes exceeds frame limit", len(payload))
+		return err
 	}
 	if s.walBad {
 		if err := s.rotateLocked(); err != nil {
@@ -483,9 +474,8 @@ func (s *Store) Append(rec *Record) error {
 		s.appendErr++
 		return fmt.Errorf("store: %w", err)
 	}
-	s.insertLiveLocked(string(rec.Key), payload)
 	s.appends++
-	if s.appends >= s.opts.SnapshotEvery {
+	if s.opts.Live != nil && s.opts.SnapshotEvery > 0 && s.appends >= s.opts.SnapshotEvery {
 		if err := s.compactLocked(); err != nil {
 			s.appendErr++ // compaction failure is not the append's problem
 		}
@@ -502,11 +492,12 @@ func (s *Store) rotateLocked() error {
 	return s.openWALLocked()
 }
 
-// compactLocked writes the live set as snapshot generation gen+1 (temp file,
-// fsync, atomic rename, directory fsync), rotates the WAL to the same
-// generation, and prunes superseded files. A crash at any point leaves
-// either the old snapshot+WALs or the new ones visible, never a mix that
-// loses accepted records.
+// compactLocked writes the records Options.Live returns, in that order, as
+// snapshot generation gen+1 (temp file, fsync, atomic rename, directory
+// fsync), rotates the WAL to the same generation, and prunes superseded
+// files. A crash at any point leaves either the old snapshot+WALs or the
+// new ones visible, never a mix. A record Append would refuse (it does not
+// encode within the frame limit) is left out, as it was never appended.
 func (s *Store) compactLocked() error {
 	newGen := s.gen + 1
 	tmp := s.path("snap.tmp")
@@ -525,13 +516,12 @@ func (s *Store) compactLocked() error {
 	if _, err := w.Write(fileHeader(kindSnap, newGen)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	keys := make([]string, 0, len(s.live))
-	for k := range s.live {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := w.Write(frame(s.live[k])); err != nil {
+	for _, rec := range s.opts.Live() {
+		payload, err := encode(rec)
+		if err != nil {
+			continue
+		}
+		if _, err := w.Write(frame(payload)); err != nil {
 			return fmt.Errorf("store: %w", err)
 		}
 	}
@@ -617,7 +607,6 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		LiveEntries:  len(s.live),
 		Generation:   s.gen,
 		Snapshots:    s.snapshots,
 		AppendErrors: s.appendErr,

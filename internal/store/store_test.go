@@ -36,6 +36,25 @@ func mustOpen(t *testing.T, dir string) *Store {
 	return s
 }
 
+// liveSet is a fake compaction source standing in for the engine's cache:
+// the records added to it, oldest first.
+type liveSet struct{ recs []*Record }
+
+func (l *liveSet) live() []*Record { return l.recs }
+
+// appendLive appends records 0..n-1 to s and adds each to l, the way the
+// engine caches an entry before the flusher appends it.
+func appendLive(t *testing.T, s *Store, l *liveSet, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		rec := mkRecord(i)
+		l.recs = append(l.recs, rec)
+		if err := s.Append(rec); err != nil {
+			t.Fatalf("Append(%d): %v", i, err)
+		}
+	}
+}
+
 // collectGate records every key offered to the gate, accepting all.
 func collectGate(keys *[]string) Gate {
 	return func(rec *Record) error {
@@ -46,16 +65,16 @@ func collectGate(keys *[]string) Gate {
 
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := mustOpen(t, dir)
+	var l liveSet
+	s, err := Open(Options{Dir: dir, NoFsync: true, Live: l.live})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Recover(nil); err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
 	const n = 5
-	for i := 0; i < n; i++ {
-		if err := s.Append(mkRecord(i)); err != nil {
-			t.Fatalf("Append(%d): %v", i, err)
-		}
-	}
+	appendLive(t, s, &l, n)
 	if err := s.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
@@ -76,8 +95,10 @@ func TestRoundTrip(t *testing.T) {
 	if rs.DroppedCorrupt+rs.DroppedIllegal+rs.DroppedSkewed+rs.TruncatedTails+rs.SkippedFiles != 0 {
 		t.Fatalf("clean store reported damage: %+v", rs)
 	}
-	if got := s2.Stats().LiveEntries; got != n {
-		t.Fatalf("live entries = %d, want %d", got, n)
+	for i, k := range keys {
+		if want := string(mkRecord(i).Key); k != want {
+			t.Fatalf("gate saw key %d as %q, want append order (%q)", i, k, want)
+		}
 	}
 }
 
@@ -106,7 +127,8 @@ func TestLockfileExcludesSecondInstance(t *testing.T) {
 
 func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, NoFsync: true, SnapshotEvery: 4})
+	var l liveSet
+	s, err := Open(Options{Dir: dir, NoFsync: true, SnapshotEvery: 4, Live: l.live})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +136,7 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 10
-	for i := 0; i < n; i++ {
-		if err := s.Append(mkRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendLive(t, s, &l, n)
 	if got := s.Stats().Snapshots; got < 2 {
 		t.Fatalf("snapshots = %d after %d appends at interval 4, want >= 2", got, n)
 	}
@@ -139,25 +157,6 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 	if rs.Replayed != n {
 		t.Fatalf("replayed %d, want %d: %+v", rs.Replayed, n, rs)
-	}
-}
-
-func TestMaxEntriesBoundsLiveSet(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir(), NoFsync: true, MaxEntries: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.Recover(nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := s.Append(mkRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Stats().LiveEntries; got != 4 {
-		t.Fatalf("live entries = %d, want 4", got)
 	}
 }
 
@@ -321,18 +320,15 @@ func TestGateClassifiesDrops(t *testing.T) {
 
 func TestStaleSnapshotFallsBackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, NoFsync: true, SnapshotEvery: 2})
+	var l liveSet
+	s, err := Open(Options{Dir: dir, NoFsync: true, SnapshotEvery: 2, Live: l.live})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Recover(nil); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if err := s.Append(mkRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	appendLive(t, s, &l, 6)
 	s.Close()
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
 	if len(snaps) < 2 {
@@ -365,6 +361,50 @@ func TestStaleSnapshotFallsBackToOlder(t *testing.T) {
 	if rs.SnapshotGen == 0 || rs.Replayed != 4 {
 		t.Fatalf("fallback replayed %d from gen %d, want 4 from the older snapshot: %+v",
 			rs.Replayed, rs.SnapshotGen, rs)
+	}
+}
+
+// TestCompactionWritesLiveInOrder: a snapshot holds exactly the records the
+// Live source returns, in its order — not the WAL's records, not key order —
+// and recovery hands them to the gate in that order.
+func TestCompactionWritesLiveInOrder(t *testing.T) {
+	dir := t.TempDir()
+	// A subset of what is appended, out of append and key order, plus one
+	// record that was never appended at all.
+	want := []*Record{mkRecord(7), mkRecord(2), mkRecord(9), mkRecord(0)}
+	s, err := Open(Options{Dir: dir, NoFsync: true, SnapshotEvery: 3,
+		Live: func() []*Record { return want }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, 2} {
+		if err := s.Append(mkRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().Snapshots; got != 1 {
+		t.Fatalf("snapshots = %d after 3 appends at interval 3, want 1", got)
+	}
+	s.Close()
+
+	s2 := mustOpen(t, dir)
+	defer s2.Close()
+	var keys []string
+	rs, err := s2.Recover(collectGate(&keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.SnapshotGen == 0 || rs.Replayed != uint64(len(want)) {
+		t.Fatalf("replayed %d from gen %d, want the %d Live records from a snapshot: %+v",
+			rs.Replayed, rs.SnapshotGen, len(want), rs)
+	}
+	for i, rec := range want {
+		if keys[i] != string(rec.Key) {
+			t.Fatalf("gate saw %q at %d, want %q (Live order)", keys[i], i, rec.Key)
+		}
 	}
 }
 
