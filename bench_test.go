@@ -344,7 +344,23 @@ func BenchmarkPrefMapOps(b *testing.B) {
 		p := core.NewPrefMap(500, 100, 16)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			// Every pass leaves the rows it touched dirty; a clean row
+			// would time only Normalize's early return. Multiplying one
+			// slot by 1 dirties a row without moving its weights.
+			for j := 0; j < 500; j++ {
+				p.MulTime(j, 0, 1)
+			}
 			p.NormalizeAll()
+		}
+	})
+	b.Run("blend", func(b *testing.B) {
+		// cholesky@raw16's row shape: PATHPROP blends 346×16-cell rows.
+		p := core.NewPrefMap(64, 346, 16)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for j := 1; j < 64; j++ {
+				p.Blend(j, j-1, 0.75)
+			}
 		}
 	})
 	b.Run("preferred-cluster", func(b *testing.B) {

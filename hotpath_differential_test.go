@@ -12,17 +12,23 @@ package repro
 // State/PrefMap/scratch through the package pool) against a fresh-allocation
 // run of the same pass sequence (core.NewState + core.ScheduleState), so
 // buffer recycling is proven inert on live outputs, not just against the
-// frozen goldens.
+// frozen goldens. The same sweep fingerprints the converged preference map
+// itself — every weight and both marginal caches, bit for bit — against
+// testdata/prefmap_golden.json, so a change to the map's kernels must leave
+// the whole pass loop bit-identical, not just the final schedules.
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"testing"
 
 	"repro/internal/bench"
@@ -32,8 +38,12 @@ import (
 	"repro/internal/passes"
 )
 
-var updateHotpathGolden = flag.Bool("update-hotpath-golden", false,
-	"regenerate testdata/hotpath_golden.json from the current scheduler")
+var (
+	updateHotpathGolden = flag.Bool("update-hotpath-golden", false,
+		"regenerate testdata/hotpath_golden.json from the current scheduler")
+	updatePrefMapGolden = flag.Bool("update-prefmap-golden", false,
+		"regenerate testdata/prefmap_golden.json from the current preference-map kernels")
+)
 
 // hotpathSeeds are the noise seeds the differential sweep covers. exp.Seed
 // is the one every experiment uses; the others are arbitrary.
@@ -43,7 +53,10 @@ func hotpathMachines() []*machine.Model {
 	return []*machine.Model{machine.Raw(4), machine.Raw(16), machine.Chorus(4)}
 }
 
-const hotpathGoldenPath = "testdata/hotpath_golden.json"
+const (
+	hotpathGoldenPath = "testdata/hotpath_golden.json"
+	prefmapGoldenPath = "testdata/prefmap_golden.json"
+)
 
 // hotpathKey names one sweep cell.
 func hotpathKey(kernel, mach string, seed int64) string {
@@ -81,57 +94,85 @@ func TestHotPathByteIdenticalToGolden(t *testing.T) {
 		t.Skip("full kernel sweep; skipped in -short")
 	}
 	got := hotpathSweep(t)
+	checkGolden(t, hotpathGoldenPath, "update-hotpath-golden", *updateHotpathGolden, true, got)
+}
 
-	if *updateHotpathGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
+// checkGolden compares the fingerprints in got against the ones frozen at
+// path, or rewrites path from got when update is set (flagName names the
+// -update flag for the error messages). complete says got holds every cell
+// of the sweep, so a frozen cell missing from got is a divergence too.
+func checkGolden(t *testing.T, path, flagName string, update, complete bool, got map[string]string) {
+	t.Helper()
+	if update {
+		if !complete {
+			t.Fatalf("-%s needs the full sweep; drop -short", flagName)
 		}
-		sort.Strings(keys)
-		ordered := make(map[string]string, len(got))
-		for _, k := range keys {
-			ordered[k] = got[k]
-		}
-		data, err := json.MarshalIndent(ordered, "", "  ")
+		// encoding/json writes map keys sorted, so the file diffs cleanly.
+		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(hotpathGoldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(hotpathGoldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d golden fingerprints to %s", len(got), hotpathGoldenPath)
+		t.Logf("wrote %d golden fingerprints to %s", len(got), path)
 		return
 	}
 
-	data, err := os.ReadFile(hotpathGoldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("read goldens (regenerate with -update-hotpath-golden): %v", err)
+		t.Fatalf("read goldens (regenerate with -%s): %v", flagName, err)
 	}
 	want := make(map[string]string)
 	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", hotpathGoldenPath, err)
+		t.Fatalf("parse %s: %v", path, err)
 	}
 	if len(want) == 0 {
-		t.Fatalf("%s holds no fingerprints", hotpathGoldenPath)
+		t.Fatalf("%s holds no fingerprints", path)
 	}
-	for key, w := range want {
-		g, ok := got[key]
-		if !ok {
-			t.Errorf("%s: cell missing from current sweep", key)
-			continue
-		}
-		if g != w {
-			t.Errorf("%s: schedule diverged from pre-rewrite golden\n  golden:  %s\n  current: %s", key, w, g)
+	for key, g := range got {
+		if w, ok := want[key]; !ok {
+			t.Errorf("%s: cell has no golden in %s (regenerate with -%s)", key, path, flagName)
+		} else if g != w {
+			t.Errorf("%s: diverged from %s\n  golden:  %s\n  current: %s", key, path, w, g)
 		}
 	}
-	for key := range got {
-		if _, ok := want[key]; !ok {
-			t.Errorf("%s: cell has no golden (regenerate with -update-hotpath-golden)", key)
+	if complete {
+		for key := range want {
+			if _, ok := got[key]; !ok {
+				t.Errorf("%s: cell missing from current sweep", key)
+			}
 		}
 	}
+}
+
+// prefMapFingerprint hashes the bits of every weight of w and of both its
+// marginal caches, read through the exported accessors, instruction by
+// instruction.
+func prefMapFingerprint(w *core.PrefMap) string {
+	h := sha256.New()
+	n, T, C := w.N(), w.Times(), w.Clusters()
+	fmt.Fprintf(h, "%d/%d/%d", n, T, C)
+	buf := make([]byte, 0, 8*(T*C+T+C))
+	for i := 0; i < n; i++ {
+		buf = buf[:0]
+		for t := 0; t < T; t++ {
+			for c := 0; c < C; c++ {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.At(i, t, c)))
+			}
+		}
+		for c := 0; c < C; c++ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.ClusterWeight(i, c)))
+		}
+		for t := 0; t < T; t++ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(w.TimeWeight(i, t)))
+		}
+		h.Write(buf)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TestPooledPathMatchesFreshAllocation is the live half of the differential:
@@ -140,13 +181,16 @@ func TestHotPathByteIdenticalToGolden(t *testing.T) {
 // schedules and converged results to a fresh-allocation run of the same pass
 // sequence through core.NewState + core.ScheduleState. Each cell runs the
 // pooled path twice so the second call schedules on a recycled, previously
-// dirtied state.
+// dirtied state. Each fresh run's converged map is fingerprinted against
+// testdata/prefmap_golden.json (regenerate with -update-prefmap-golden only
+// when a weight is meant to change).
 func TestPooledPathMatchesFreshAllocation(t *testing.T) {
 	kernels := bench.All()
 	if testing.Short() {
 		kernels = kernels[:3]
 	}
 	ctx := context.Background()
+	weights := make(map[string]string)
 	for _, m := range hotpathMachines() {
 		seq := passes.ForMachine(m.Name)
 		for _, k := range kernels {
@@ -156,6 +200,7 @@ func TestPooledPathMatchesFreshAllocation(t *testing.T) {
 
 				fresh := core.NewState(g, m, seed)
 				fs, fres, ferr := core.ScheduleState(ctx, fresh, seq)
+				weights[key] = prefMapFingerprint(fresh.W)
 
 				// First pooled run primes the pool with a state shaped by
 				// this graph; the second proves a recycled state converges
@@ -187,4 +232,5 @@ func TestPooledPathMatchesFreshAllocation(t *testing.T) {
 			}
 		}
 	}
+	checkGolden(t, prefmapGoldenPath, "update-prefmap-golden", *updatePrefMapGolden, !testing.Short(), weights)
 }

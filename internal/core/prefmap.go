@@ -42,7 +42,10 @@ const BigConfidence = 1e9
 // of all T slots. Skipping slots that are exactly zero changes no weight
 // and no marginal bit: weights are non-negative, so every skipped term of a
 // marginal sum is +0, and 0·f, 0/d and own·0+other·0 are 0 for the finite
-// factors the sweeps accept.
+// factors the sweeps accept. The time marginal outside the window is
+// exactly zero too: ZeroTimesOutside, the one operation that narrows a
+// window, zeroes it for the slots it drops, so sweeps rebuild it over the
+// window alone.
 type PrefMap struct {
 	n, T, C int
 	w       []float64 // len n*T*C, W[i][t][c] at (i*T+t)*C + c
@@ -228,15 +231,19 @@ func (p *PrefMap) Apply(i int, f func(t, c int, w float64) float64) {
 // outside [lo, hi]. It is INITTIME's inner operation, equivalent to an Apply
 // that returns 0 outside the window, without the closure. The instruction's
 // window shrinks to its intersection with [lo, hi], which may be empty.
+// It is the only operation that narrows a window, so it also zeroes the
+// dropped slots' time marginal (see PrefMap).
 func (p *PrefMap) ZeroTimesOutside(i, lo, hi int) {
 	old := p.rows[i].win
 	keep := window{max(old.lo, lo), min(old.hi, hi)}
 	row := p.row(i)
+	ts := p.timeSum[i*p.T : (i+1)*p.T]
 	for t := old.lo; t <= old.hi; t++ {
 		if t >= keep.lo && t <= keep.hi {
 			continue
 		}
 		clear(row[t*p.C : (t+1)*p.C])
+		ts[t] = 0
 	}
 	p.rows[i].win = keep
 	p.rows[i].dirty = true
@@ -315,8 +322,20 @@ func (p *PrefMap) Blend(i, j int, own float64) {
 	p.rows[i].win = hull(p.rows[i].win, p.rows[j].win)
 	ri, lo := p.span(i)
 	rj := p.row(j)[lo*p.C:]
+	rj = rj[:len(ri)] // lets the compiler drop the per-cell bounds checks
 	other := 1 - own
-	for k := range ri {
+	// Unrolled by four; every cell still computes exactly own·a + other·b.
+	k := 0
+	for ; k+4 <= len(ri); k += 4 {
+		a, b := ri[k:k+4:k+4], rj[k:k+4:k+4]
+		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
+		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+		a[0] = own*a0 + other*b0
+		a[1] = own*a1 + other*b1
+		a[2] = own*a2 + other*b2
+		a[3] = own*a3 + other*b3
+	}
+	for ; k < len(ri); k++ {
 		ri[k] = own*ri[k] + other*rj[k]
 	}
 	p.rows[i].dirty = true
@@ -359,19 +378,16 @@ func (p *PrefMap) refresh(i int) {
 	p.rows[i].dirty = false
 }
 
-// marginals zeroes instruction i's cluster marginal and the time marginal
-// outside its window (where every weight is exactly zero), and returns the
-// cluster marginal, the time marginal from the window's first slot on, and
-// the window's weight block, ready for a sweep that rebuilds them.
+// marginals zeroes instruction i's cluster marginal and returns it, the
+// time marginal over the window's slots and the window's weight block,
+// ready for a sweep that rebuilds both marginals. The time marginal outside
+// the window is already zero (see PrefMap).
 func (p *PrefMap) marginals(i int) (cs, ts, row []float64) {
 	cs = p.clusterSum[i*p.C : (i+1)*p.C]
-	ts = p.timeSum[i*p.T : (i+1)*p.T]
 	clear(cs)
 	row, lo := p.span(i)
-	hi := lo + len(row)/p.C
-	clear(ts[:lo])
-	clear(ts[hi:])
-	return cs, ts[lo:hi], row
+	ts = p.timeSum[i*p.T+lo : i*p.T+lo+len(row)/p.C]
+	return cs, ts, row
 }
 
 // ClusterWeight returns Σ_t W[i][t][c].
@@ -389,6 +405,11 @@ func (p *PrefMap) TimeWeight(i, t int) float64 {
 // Total returns Σ_{t,c} W[i][t][c].
 func (p *PrefMap) Total(i int) float64 {
 	p.refresh(i)
+	return p.sumClusters(i)
+}
+
+// sumClusters adds instruction i's cluster marginal in cluster order.
+func (p *PrefMap) sumClusters(i int) float64 {
 	sum := 0.0
 	for _, v := range p.clusterSum[i*p.C : (i+1)*p.C] {
 		sum += v
@@ -483,8 +504,21 @@ func (p *PrefMap) Confidence(i int) float64 {
 // or non-finite because repeated multiplicative boosts overflowed — the row
 // resets to uniform, which keeps the map well-defined without privileging
 // any slot (and guarantees Normalize never emits NaN).
+//
+// The total is Total's value, bit for bit, but a dirty row pays one read
+// sweep for it rather than a full refresh: the per-cluster sums are formed
+// in refresh's order, in the cluster marginal the rescale clears and
+// rebuilds anyway, and no time marginal is written. A clean row whose
+// cached total is exactly 1 is returned as is: rescaling it by 1/1 leaves
+// every weight unchanged and rebuilds both caches from the same values in
+// the same order. A clean row with any other total is still rescaled.
 func (p *PrefMap) Normalize(i int) {
-	total := p.Total(i)
+	var total float64
+	if p.rows[i].dirty {
+		total = p.windowTotal(i)
+	} else if total = p.sumClusters(i); total == 1 {
+		return
+	}
 	// A subnormal total is degenerate too: its reciprocal overflows to +Inf
 	// and would turn zero slots into 0·Inf = NaN during the rescale.
 	if total <= 0 || math.IsInf(total, 0) || math.IsNaN(total) || math.IsInf(1/total, 0) {
@@ -510,12 +544,34 @@ func (p *PrefMap) Normalize(i int) {
 	// leaves the instruction clean. The driver reads preferred clusters
 	// after every normalization; the fusion makes those reads cache hits.
 	// Slots outside the window stay zero (0·inv = 0 for a finite inv).
+	//
+	// Four slots go through each step of the loop below. Each slot's time
+	// marginal still adds its clusters in order, and each cluster marginal
+	// still adds its slots in order; the four independent time-marginal
+	// chains just run side by side.
 	cs, ts, row := p.marginals(i)
 	inv := 1 / total
-	for t := range ts {
-		base := t * p.C
+	C := len(cs)
+	t := 0
+	for ; t+4 <= len(ts); t += 4 {
+		r := row[t*C : (t+4)*C]
+		r0, r1, r2, r3 := r[:C], r[C:][:C], r[2*C:][:C], r[3*C:][:C]
+		var s0, s1, s2, s3 float64
+		for c := range cs {
+			w0, w1, w2, w3 := r0[c]*inv, r1[c]*inv, r2[c]*inv, r3[c]*inv
+			r0[c], r1[c], r2[c], r3[c] = w0, w1, w2, w3
+			cs[c] = cs[c] + w0 + w1 + w2 + w3
+			s0 += w0
+			s1 += w1
+			s2 += w2
+			s3 += w3
+		}
+		ts[t], ts[t+1], ts[t+2], ts[t+3] = s0, s1, s2, s3
+	}
+	for ; t < len(ts); t++ {
+		base := t * C
 		sum := 0.0
-		for c := 0; c < p.C; c++ {
+		for c := range cs {
 			w := row[base+c] * inv
 			row[base+c] = w
 			cs[c] += w
@@ -524,6 +580,32 @@ func (p *PrefMap) Normalize(i int) {
 		ts[t] = sum
 	}
 	p.rows[i].dirty = false
+}
+
+// windowTotal returns Σ_{t,c} W[i][t][c] with exactly refresh's and Total's
+// arithmetic — per-cluster sums in slot order over the window, then added in
+// cluster order — accumulating in the cluster marginal, which it leaves
+// holding a fresh value while the row stays dirty.
+func (p *PrefMap) windowTotal(i int) float64 {
+	cs := p.clusterSum[i*p.C : (i+1)*p.C]
+	clear(cs)
+	row, _ := p.span(i)
+	C := len(cs)
+	// Four slots per step, each cluster still adding them in slot order.
+	base := 0
+	for ; base+4*C <= len(row); base += 4 * C {
+		r := row[base : base+4*C]
+		r0, r1, r2, r3 := r[:C], r[C:][:C], r[2*C:][:C], r[3*C:][:C]
+		for c := range cs {
+			cs[c] = cs[c] + r0[c] + r1[c] + r2[c] + r3[c]
+		}
+	}
+	for ; base < len(row); base += C {
+		for c := range cs {
+			cs[c] += row[base+c]
+		}
+	}
+	return p.sumClusters(i)
 }
 
 // NormalizeAll normalizes every instruction.

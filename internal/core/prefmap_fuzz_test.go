@@ -7,8 +7,10 @@ package core
 // NaN anywhere, every weight in [0,1], the row summing to one, the marginal
 // caches bit-identical to a recompute, every slot outside the time window
 // exactly zero, and Confidence returning BigConfidence only in its
-// documented cases. A second round narrows the window (possibly to empty)
-// with ZeroTimesOutside and normalizes again.
+// documented cases. Every Normalize must also match the full-width
+// reference of prefmap_window_test.go bit for bit, weights and marginals.
+// A second round narrows the window (possibly to empty) with
+// ZeroTimesOutside and normalizes again.
 
 import (
 	"encoding/binary"
@@ -70,23 +72,26 @@ func FuzzNormalize(f *testing.F) {
 	binary.LittleEndian.PutUint64(ordinary[16:], math.Float64bits(0.125))
 	binary.LittleEndian.PutUint64(ordinary[24:], math.Float64bits(2.0))
 	f.Add(uint8(2), uint8(2), ordinary)
-	f.Add(uint8(10), uint8(17), ordinary) // T=3, C=6, second round window [1,2]
+	f.Add(uint8(10), uint8(22), ordinary) // T=3, C=6, second round window [1,2]
+	f.Add(uint8(47), uint8(49), ordinary) // T=8, C=16, second round window [5,6]
 
 	f.Fuzz(func(t *testing.T, tRaw, cRaw uint8, data []byte) {
 		T := 1 + int(tRaw)%8
-		C := 1 + int(cRaw)%6
-		p := NewPrefMap(1, T, C)
+		C := 1 + int(cRaw)%17
+		p, r := NewPrefMap(1, T, C), newRefMap(1, T, C)
 		fillRowFromBytes(p, data)
-		p.Normalize(0)
+		copy(r.w, p.w)
+		opNormalize(0).do(p, r)
 		checkNormalizedRow(t, p)
+		checkAgainstRef(t, p, r, "first Normalize")
 
 		// The high bits of the shape bytes pick a window [lo, hi], empty
 		// when span is 0.
 		lo := int(tRaw>>3) % T
 		span := int(cRaw>>3) % (T - lo + 1)
-		p.ZeroTimesOutside(0, lo, lo+span-1)
-		p.Normalize(0)
+		opThen(opZeroTimesOutside(0, lo, lo+span-1), opNormalize(0)).do(p, r)
 		checkNormalizedRow(t, p)
+		checkAgainstRef(t, p, r, "second Normalize")
 	})
 }
 

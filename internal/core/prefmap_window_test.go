@@ -181,13 +181,70 @@ func opNormalize(i int) windowOp {
 	return windowOp{"Normalize", func(p *PrefMap, r *refMap) { p.Normalize(i); r.normalize(i) }}
 }
 
+func opNormalizeAll(n int) windowOp {
+	return windowOp{"NormalizeAll", func(p *PrefMap, r *refMap) {
+		p.NormalizeAll()
+		for k := 0; k < n; k++ {
+			r.normalize(k)
+		}
+	}}
+}
+
+// opThen runs first and then next with nothing in between: checkAgainstRef
+// refreshes every row after each operation, so a Normalize that must see a
+// dirty row has to share an operation with the mutation before it.
+func opThen(first, next windowOp) windowOp {
+	return windowOp{first.name + "+" + next.name, func(p *PrefMap, r *refMap) {
+		first.do(p, r)
+		next.do(p, r)
+	}}
+}
+
+func opAddPerClusterMasked(i int, add []float64) windowOp {
+	return windowOp{"AddPerClusterMasked", func(p *PrefMap, r *refMap) {
+		p.AddPerClusterMasked(i, add)
+		r.sweep(i, func(_, c int, w float64) float64 {
+			if w != 0 {
+				return w + add[c]
+			}
+			return w
+		})
+	}}
+}
+
+func opMulPerCluster(i int, f []float64) windowOp {
+	return windowOp{"MulPerCluster", func(p *PrefMap, r *refMap) {
+		p.MulPerCluster(i, f)
+		r.sweep(i, func(_, c int, w float64) float64 { return w * f[c] })
+	}}
+}
+
+func opDivPerCluster(i int, d []float64) windowOp {
+	return windowOp{"DivPerCluster", func(p *PrefMap, r *refMap) {
+		p.DivPerCluster(i, d)
+		r.sweep(i, func(_, c int, w float64) float64 { return w / d[c] })
+	}}
+}
+
+// randomFactors returns C values base + [0, scale).
+func randomFactors(rng *rand.Rand, C int, base, scale float64) []float64 {
+	f := make([]float64, C)
+	for c := range f {
+		f[c] = base + rng.Float64()*scale
+	}
+	return f
+}
+
 // randomWindowOp draws one operation over the whole mutation API, biased
 // toward the cases the window has to get right: narrowing (including to an
 // empty window), widening by a write outside the window, Blend across
-// windows and a non-finite MulCluster factor.
+// windows and a non-finite MulCluster factor. It also draws the cases
+// Normalize has to get right: a row mutated and normalized in one step (the
+// dirty path), and NormalizeAll twice (the second finds every row clean,
+// some summing to exactly 1 and some not).
 func randomWindowOp(rng *rand.Rand, n, T, C int) windowOp {
 	i := rng.Intn(n)
-	switch rng.Intn(14) {
+	switch rng.Intn(16) {
 	case 0:
 		v := rng.Float64() * 3
 		if rng.Intn(3) == 0 {
@@ -211,10 +268,7 @@ func randomWindowOp(rng *rand.Rand, n, T, C int) windowOp {
 		if rng.Intn(8) == 0 {
 			// +Inf turns the row's zeros into NaN, which Set, Mul, Add and
 			// Apply reject, so the degenerate Normalize follows at once.
-			return windowOp{"MulCluster(+Inf)+Normalize", func(p *PrefMap, r *refMap) {
-				opMulCluster(i, c, math.Inf(1)).do(p, r)
-				opNormalize(i).do(p, r)
-			}}
+			return opThen(opMulCluster(i, c, math.Inf(1)), opNormalize(i))
 		}
 		return opMulCluster(i, c, rng.Float64()*2)
 	case 4:
@@ -225,50 +279,39 @@ func randomWindowOp(rng *rand.Rand, n, T, C int) windowOp {
 		hi := lo + rng.Intn(T+1) - 1
 		return opZeroTimesOutside(i, lo, hi)
 	case 7:
-		add := make([]float64, C)
-		for c := range add {
-			add[c] = rng.Float64() * 0.5
-		}
-		return windowOp{"AddPerClusterMasked", func(p *PrefMap, r *refMap) {
-			p.AddPerClusterMasked(i, add)
-			r.sweep(i, func(_, c int, w float64) float64 {
-				if w != 0 {
-					return w + add[c]
-				}
-				return w
-			})
-		}}
+		return opAddPerClusterMasked(i, randomFactors(rng, C, 0, 0.5))
 	case 8:
-		f := make([]float64, C)
-		for c := range f {
-			f[c] = rng.Float64() * 2
-		}
-		return windowOp{"MulPerCluster", func(p *PrefMap, r *refMap) {
-			p.MulPerCluster(i, f)
-			r.sweep(i, func(_, c int, w float64) float64 { return w * f[c] })
-		}}
+		return opMulPerCluster(i, randomFactors(rng, C, 0, 2))
 	case 9:
-		d := make([]float64, C)
-		for c := range d {
-			d[c] = 0.5 + rng.Float64()*2
-		}
-		return windowOp{"DivPerCluster", func(p *PrefMap, r *refMap) {
-			p.DivPerCluster(i, d)
-			r.sweep(i, func(_, c int, w float64) float64 { return w / d[c] })
-		}}
+		return opDivPerCluster(i, randomFactors(rng, C, 0.5, 2))
 	case 10:
 		return opBlend(i, rng.Intn(n), rng.Float64())
 	case 11:
 		return opApply(i, rng.Float64()*2, rng.Float64()*0.1)
 	case 12:
 		return opNormalize(i)
+	case 13:
+		return opNormalizeAll(n)
+	case 14:
+		var mutate windowOp
+		switch rng.Intn(5) {
+		case 0:
+			mutate = opBlend(i, rng.Intn(n), rng.Float64())
+		case 1:
+			mutate = opMulPerCluster(i, randomFactors(rng, C, 0, 2))
+		case 2:
+			mutate = opDivPerCluster(i, randomFactors(rng, C, 0.5, 2))
+		case 3:
+			mutate = opMulTime(i, rng.Intn(T), rng.Float64()*2)
+		default:
+			mutate = opAddPerClusterMasked(i, randomFactors(rng, C, 0, 0.5))
+		}
+		if rng.Intn(2) == 0 {
+			return opThen(mutate, opNormalize(i))
+		}
+		return opThen(mutate, opNormalizeAll(n))
 	default:
-		return windowOp{"NormalizeAll", func(p *PrefMap, r *refMap) {
-			p.NormalizeAll()
-			for k := 0; k < n; k++ {
-				r.normalize(k)
-			}
-		}}
+		return opThen(opNormalizeAll(n), opNormalizeAll(n))
 	}
 }
 
@@ -335,10 +378,18 @@ func runWindowOps(t *testing.T, n, T, C int, ops []windowOp, label string) {
 	checkAgainstRef(t, p.Clone(), r, label+" clone")
 }
 
+// TestPrefMapWindowMatchesFullWidthReference runs random operation
+// sequences on small shapes, whose short windows mostly run the scalar
+// tails of Blend's four-cell and Normalize's four-slot steps, and on wider
+// ones with C of 4 or 16 (raw4 and raw16) and up to 48 slots, where the
+// four-at-a-time bodies run long.
 func TestPrefMapWindowMatchesFullWidthReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(346))
-	for trial := 0; trial < 300; trial++ {
+	for trial := 0; trial < 400; trial++ {
 		n, T, C := 1+rng.Intn(6), 1+rng.Intn(12), 1+rng.Intn(5)
+		if trial >= 300 {
+			T, C = 1+rng.Intn(48), []int{4, 16}[rng.Intn(2)]
+		}
 		ops := make([]windowOp, 1+rng.Intn(40))
 		for k := range ops {
 			ops[k] = randomWindowOp(rng, n, T, C)

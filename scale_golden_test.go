@@ -10,10 +10,8 @@ package repro
 // must keep reproducing them.
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/baseline/rawcc"
@@ -74,33 +72,5 @@ func TestScaleSchedulesByteIdenticalToGolden(t *testing.T) {
 		t.Skip("schedules 2000-instruction regions; skipped in -short")
 	}
 	got := scaleSweep(t)
-	if *updateScaleGolden {
-		data, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(scaleGoldenPath, append(data, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d golden fingerprints to %s", len(got), scaleGoldenPath)
-		return
-	}
-	data, err := os.ReadFile(scaleGoldenPath)
-	if err != nil {
-		t.Fatalf("read goldens (regenerate with -update-scale-golden): %v", err)
-	}
-	want := make(map[string]string)
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", scaleGoldenPath, err)
-	}
-	if len(want) != len(got) {
-		t.Errorf("%s holds %d fingerprints, sweep has %d cells", scaleGoldenPath, len(want), len(got))
-	}
-	for key, g := range got {
-		if w, ok := want[key]; !ok {
-			t.Errorf("%s: cell has no golden", key)
-		} else if g != w {
-			t.Errorf("%s: schedule diverged from golden\n  golden:  %s\n  current: %s", key, w, g)
-		}
-	}
+	checkGolden(t, scaleGoldenPath, "update-scale-golden", *updateScaleGolden, true, got)
 }
