@@ -351,7 +351,11 @@ func TestServeWithTenancy(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("tenant request: %d: %s", resp.StatusCode, body)
 	}
-	if !strings.Contains(string(body), `"tenant": "vip"`) || !strings.Contains(string(body), `"class": "gold"`) {
+	var attr struct{ Tenant, Class string }
+	if err := json.Unmarshal(body, &attr); err != nil {
+		t.Fatalf("decode response: %v: %.300s", err, body)
+	}
+	if attr.Tenant != "vip" || attr.Class != "gold" {
 		t.Fatalf("response not attributed to vip/gold: %.300s", body)
 	}
 

@@ -380,9 +380,7 @@ func (g *Gateway) writeError(w http.ResponseWriter, e *gwError) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(e.code)
 	body := map[string]map[string]string{"error": {"kind": e.kind, "message": e.message}}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(body)
+	_ = json.NewEncoder(w).Encode(body)
 }
 
 // claim marks the single delivery of a routed request's outcome. Every
@@ -764,9 +762,7 @@ func (g *Gateway) StatsSnapshot() StatsResponse {
 
 func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(g.StatsSnapshot())
+	_ = json.NewEncoder(w).Encode(g.StatsSnapshot())
 }
 
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -188,9 +188,7 @@ func (g *Gateway) handleAdminShards(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case r.Method == http.MethodGet && rest == "":
 		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(adminResponse{Membership: g.Membership()})
+		_ = json.NewEncoder(w).Encode(adminResponse{Membership: g.Membership()})
 	case r.Method == http.MethodPost && rest == "":
 		g.handleJoin(w, r)
 	case r.Method == http.MethodDelete && rest != "":
@@ -335,9 +333,7 @@ func (g *Gateway) handleLeave(w http.ResponseWriter, r *http.Request, id string)
 
 func writeAdminJSON(w http.ResponseWriter, v adminResponse) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // baseFor resolves a shard name to its forwarding base URL, falling back to

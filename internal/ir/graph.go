@@ -127,42 +127,117 @@ func (g *Graph) Seal() {
 func (g *Graph) seal() {
 	g.sealed = true
 	n := len(g.Instrs)
-	g.preds = make([][]int, n)
-	g.succs = make([][]int, n)
-	seen := make(map[[2]int]bool)
-	addEdge := func(from, to int) {
-		key := [2]int{from, to}
-		if seen[key] {
-			return
-		}
-		seen[key] = true
-		g.succs[from] = append(g.succs[from], to)
-		g.preds[to] = append(g.preds[to], from)
-	}
+	// mark[v] == stamp says v is already listed for the instruction that
+	// took stamp. Every sweep below takes fresh stamps, so mark is never
+	// cleared.
+	mark := make([]int, n)
+	stamp := 0
+	inDeg, outDeg := make([]int, n), make([]int, n)
+	// A data edge can only duplicate another operand of its own target.
 	for _, in := range g.Instrs {
+		stamp++
 		for _, a := range in.Args {
-			addEdge(a, in.ID)
+			if mark[a] != stamp {
+				mark[a] = stamp
+				outDeg[a]++
+				inDeg[in.ID]++
+			}
 		}
 	}
-	for _, e := range g.memEdges {
-		addEdge(e[0], e[1])
+	// A memory edge duplicates a data edge when its source is an operand
+	// of its target, or an earlier memory edge with the same endpoints.
+	// The edges are grouped by target (a stable counting sort) so each
+	// target stamps its operands once.
+	memDup := make([]bool, len(g.memEdges))
+	if len(g.memEdges) > 0 {
+		first := make([]int, n+1)
+		for _, e := range g.memEdges {
+			first[e[1]+1]++
+		}
+		for t := 1; t <= n; t++ {
+			first[t] += first[t-1]
+		}
+		byTo := make([]int, len(g.memEdges))
+		for k, e := range g.memEdges {
+			byTo[first[e[1]]] = k
+			first[e[1]]++
+		}
+		// first[t] is now the end of target t's run, first[t-1] its start.
+		lo := 0
+		for t := 0; t < n; t++ {
+			if lo == first[t] {
+				continue
+			}
+			stamp++
+			for _, a := range g.Instrs[t].Args {
+				mark[a] = stamp
+			}
+			for _, k := range byTo[lo:first[t]] {
+				if f := g.memEdges[k][0]; mark[f] == stamp {
+					memDup[k] = true
+				} else {
+					mark[f] = stamp
+					outDeg[f]++
+					inDeg[t]++
+				}
+			}
+			lo = first[t]
+		}
+	}
+	// Every list lives in one backing array, carved by degree: preds and
+	// succs take one slot per distinct edge each, and each neighbour list
+	// at most its preds plus succs.
+	edges := 0
+	for _, d := range inDeg {
+		edges += d
+	}
+	buf := make([]int, 4*edges)
+	lists := make([][]int, 3*n)
+	g.preds, g.succs, g.neighbors = lists[:n:n], lists[n:2*n:2*n], lists[2*n:]
+	off := 0
+	for i := 0; i < n; i++ {
+		if inDeg[i] > 0 {
+			g.preds[i] = buf[off : off : off+inDeg[i]]
+			off += inDeg[i]
+		}
+		if outDeg[i] > 0 {
+			g.succs[i] = buf[off : off : off+outDeg[i]]
+			off += outDeg[i]
+		}
+	}
+	// Fill in exactly the order the edges were first seen: data edges by
+	// target and operand position, then memory edges in list order.
+	for _, in := range g.Instrs {
+		stamp++
+		for _, a := range in.Args {
+			if mark[a] != stamp {
+				mark[a] = stamp
+				g.succs[a] = append(g.succs[a], in.ID)
+				g.preds[in.ID] = append(g.preds[in.ID], a)
+			}
+		}
+	}
+	for k, e := range g.memEdges {
+		if !memDup[k] {
+			g.succs[e[0]] = append(g.succs[e[0]], e[1])
+			g.preds[e[1]] = append(g.preds[e[1]], e[0])
+		}
 	}
 	// Precompute the neighbor union once so Neighbors is allocation-free:
 	// the convergent passes walk it in their inner loops.
-	g.neighbors = make([][]int, n)
-	dup := make(map[int]bool)
 	for i := 0; i < n; i++ {
-		clear(dup)
-		nb := make([]int, 0, len(g.preds[i])+len(g.succs[i]))
-		for _, lists := range [2][]int{g.preds[i], g.succs[i]} {
-			for _, v := range lists {
-				if !dup[v] {
-					dup[v] = true
+		stamp++
+		nb := buf[off:off]
+		for _, list := range [2][]int{g.preds[i], g.succs[i]} {
+			for _, v := range list {
+				if mark[v] != stamp {
+					mark[v] = stamp
 					nb = append(nb, v)
 				}
 			}
 		}
-		g.neighbors[i] = nb
+		g.neighbors[i] = nb[:len(nb):len(nb)]
+		off += len(nb)
 	}
 	for i, in := range g.Instrs {
 		if in.Preplaced() {

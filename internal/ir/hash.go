@@ -1,12 +1,14 @@
 package ir
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -138,15 +140,14 @@ func (g *Graph) computeCanonical() Canonical {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if final[ia] != final[ib] {
-			return final[ia] < final[ib]
+	slices.SortFunc(idx, func(ia, ib int) int {
+		if c := cmp.Compare(final[ia], final[ib]); c != 0 {
+			return c
 		}
-		if up[ia] != up[ib] {
-			return up[ia] < up[ib]
+		if c := cmp.Compare(up[ia], up[ib]); c != 0 {
+			return c
 		}
-		return ia < ib
+		return cmp.Compare(ia, ib)
 	})
 	order := make([]int, n)
 	for rank, i := range idx {

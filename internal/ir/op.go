@@ -135,13 +135,19 @@ func (op Op) String() string {
 // mnemonic is unknown. It is the inverse of Op.String and is used by the
 // .ddg text format parser.
 func OpFromString(s string) (Op, bool) {
-	for op, name := range opNames {
-		if name == s {
-			return Op(op), true
-		}
-	}
-	return 0, false
+	op, ok := opByName[s]
+	return op, ok
 }
+
+// opByName inverts opNames. The .ddg parser looks up one mnemonic per
+// line of every request body.
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, numOps)
+	for op, name := range opNames {
+		m[name] = Op(op)
+	}
+	return m
+}()
 
 // Arity returns the number of operands the opcode requires, or -1 if the
 // opcode accepts no operands (constants, Nop).

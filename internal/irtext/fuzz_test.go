@@ -1,17 +1,25 @@
 package irtext_test
 
 import (
+	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/ir"
+	"repro/internal/ir/irtest"
 	"repro/internal/irtext"
 )
 
 // FuzzParse feeds arbitrary text to the .ddg parser. The contract under
 // test: Parse never panics — malformed input (undefined operands, bad
 // arity, backward memory edges, garbage tokens) comes back as an error —
-// and anything Parse does accept survives the Parse→String→Parse
-// round-trip as a fixed point.
+// anything Parse does accept survives the Parse→String→Parse round-trip as
+// a fixed point, and Parse agrees with the reference parser: the same
+// error message, or the same graph with the same sealed adjacency as the
+// reference seal computes.
 func FuzzParse(f *testing.F) {
 	// Well-formed seeds: a real kernel, a random DAG with preplacement,
 	// and a hand-written graph exercising every token kind.
@@ -45,8 +53,17 @@ memedge 2 4
 	} {
 		f.Add(bad)
 	}
+	// White space strings.Fields splits on beyond ASCII (NBSP, NEL, the
+	// ideographic and em spaces, the line separator) and runes it does
+	// not (zero-width space, an invalid byte).
+	for _, ws := range unicodeSpaces {
+		f.Add("0:" + ws + "const" + ws + "1\n1: neg" + ws + "%0 ;" + ws + "n")
+	}
 	f.Fuzz(func(t *testing.T, data string) {
 		g, err := irtext.ParseString(data)
+		if msg := diffParse(data, g, err); msg != "" {
+			t.Fatalf("Parse disagrees with the reference on %q: %s", data, msg)
+		}
 		if err != nil {
 			return // rejected cleanly; that is the contract
 		}
@@ -87,4 +104,32 @@ func TestParseMalformedInputs(t *testing.T) {
 			t.Errorf("%s: accepted %q", label, in)
 		}
 	}
+}
+
+// unicodeSpaces lists separators for the white-space seeds and tests.
+var unicodeSpaces = []string{"\u00a0", "\u0085", "\u3000", "\u2003", "\u2028", "\v\f", "\u200b", "\xff", "\t \u00a0 "}
+
+// diffParse compares one Parse outcome with the reference parser's on the
+// same input and describes the first difference, or returns "".
+func diffParse(data string, g *ir.Graph, err error) string {
+	ref, refErr := irtext.RefParse(strings.NewReader(data))
+	switch {
+	case err != nil || refErr != nil:
+		if err == nil || refErr == nil || err.Error() != refErr.Error() {
+			return fmt.Sprintf("error %v, reference %v", err, refErr)
+		}
+		return ""
+	case g.Name != ref.Name || g.Len() != ref.Len():
+		return fmt.Sprintf("graph %q of %d, reference %q of %d", g.Name, g.Len(), ref.Name, ref.Len())
+	case !slices.Equal(g.MemEdges(), ref.MemEdges()):
+		return fmt.Sprintf("memedges %v, reference %v", g.MemEdges(), ref.MemEdges())
+	}
+	for i, in := range g.Instrs {
+		r := ref.Instrs[i]
+		if in.ID != r.ID || in.Op != r.Op || !slices.Equal(in.Args, r.Args) || in.Imm != r.Imm ||
+			math.Float64bits(in.FImm) != math.Float64bits(r.FImm) || in.Bank != r.Bank || in.Home != r.Home || in.Name != r.Name {
+			return fmt.Sprintf("instr %d is %+v, reference %+v", i, *in, *r)
+		}
+	}
+	return irtest.Diff(irtest.Sealed(g), irtest.RefSeal(ref))
 }

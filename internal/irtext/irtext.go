@@ -22,6 +22,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/ir"
 )
@@ -79,7 +81,10 @@ func ParseFile(path string) (*ir.Graph, error) {
 func Parse(r io.Reader) (*ir.Graph, error) {
 	g := ir.New("")
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	// The buffer starts small and doubles on demand, up to a 4 MiB line.
+	sc.Buffer(nil, 1<<22)
+	var fields []string // reused by every line
+	var args []int      // operand scratch, reused by every instruction
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -97,7 +102,7 @@ func Parse(r io.Reader) (*ir.Graph, error) {
 		if line == "" {
 			continue
 		}
-		fields := strings.Fields(line)
+		fields = appendFields(fields[:0], line)
 		switch fields[0] {
 		case "graph":
 			if len(fields) != 2 {
@@ -120,7 +125,7 @@ func Parse(r io.Reader) (*ir.Graph, error) {
 			g.AddMemEdge(from, to)
 			continue
 		}
-		if err := parseInstr(g, fields, name, lineNo); err != nil {
+		if err := parseInstr(g, fields, name, lineNo, &args); err != nil {
 			return nil, err
 		}
 	}
@@ -133,12 +138,45 @@ func Parse(r io.Reader) (*ir.Graph, error) {
 	return g, nil
 }
 
+// appendFields appends the fields of s to dst exactly as strings.Fields
+// splits them: around runs of Unicode white space, with invalid UTF-8
+// bytes counting as non-space.
+func appendFields(dst []string, s string) []string {
+	start := -1
+	for i := 0; i < len(s); {
+		c, width := s[i], 1
+		space := asciiSpace[c]
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, width = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		switch {
+		case space && start >= 0:
+			dst = append(dst, s[start:i])
+			start = -1
+		case !space && start < 0:
+			start = i
+		}
+		i += width
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
+}
+
+// asciiSpace is unicode.IsSpace on the ASCII range.
+var asciiSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // ParseString parses a .ddg graph from a string.
 func ParseString(s string) (*ir.Graph, error) {
 	return Parse(strings.NewReader(s))
 }
 
-func parseInstr(g *ir.Graph, fields []string, name string, lineNo int) (err error) {
+// parseInstr adds the instruction on one line to g. It collects the
+// operands in *scratch, which it leaves grown for the next line.
+func parseInstr(g *ir.Graph, fields []string, name string, lineNo int, scratch *[]int) (err error) {
 	// Recover the builder's panics into parse errors so malformed input
 	// never crashes a tool.
 	defer func() {
@@ -164,10 +202,10 @@ func parseInstr(g *ir.Graph, fields []string, name string, lineNo int) (err erro
 	if !ok {
 		return fmt.Errorf("irtext: line %d: unknown opcode %q", lineNo, fields[1])
 	}
-	var args []int
+	args := (*scratch)[:0]
 	bank := ir.NoBank
 	home := ir.NoHome
-	var imm *string
+	imm, hasImm := "", false
 	for _, f := range fields[2:] {
 		switch {
 		case strings.HasPrefix(f, "%"):
@@ -189,36 +227,36 @@ func parseInstr(g *ir.Graph, fields []string, name string, lineNo int) (err erro
 			}
 			home = h
 		default:
-			if imm != nil {
+			if hasImm {
 				return fmt.Errorf("irtext: line %d: unexpected token %q", lineNo, f)
 			}
-			v := f
-			imm = &v
+			imm, hasImm = f, true
 		}
 	}
+	*scratch = args // Add copies the operands
 	in := g.Add(op, args...)
 	in.Name = name
 	switch op {
 	case ir.ConstInt:
-		if imm == nil {
+		if !hasImm {
 			return fmt.Errorf("irtext: line %d: const needs an immediate", lineNo)
 		}
-		v, aerr := strconv.ParseInt(*imm, 10, 64)
+		v, aerr := strconv.ParseInt(imm, 10, 64)
 		if aerr != nil {
-			return fmt.Errorf("irtext: line %d: bad integer immediate %q", lineNo, *imm)
+			return fmt.Errorf("irtext: line %d: bad integer immediate %q", lineNo, imm)
 		}
 		in.Imm = v
 	case ir.ConstFloat:
-		if imm == nil {
+		if !hasImm {
 			return fmt.Errorf("irtext: line %d: fconst needs an immediate", lineNo)
 		}
-		v, aerr := strconv.ParseFloat(*imm, 64)
+		v, aerr := strconv.ParseFloat(imm, 64)
 		if aerr != nil {
-			return fmt.Errorf("irtext: line %d: bad float immediate %q", lineNo, *imm)
+			return fmt.Errorf("irtext: line %d: bad float immediate %q", lineNo, imm)
 		}
 		in.FImm = v
 	default:
-		if imm != nil {
+		if hasImm {
 			return fmt.Errorf("irtext: line %d: %v takes no immediate", lineNo, op)
 		}
 	}

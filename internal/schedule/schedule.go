@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -165,15 +166,23 @@ func (s *Schedule) CommCount() int { return len(s.Comms) }
 //     occupies the transfer unit on machines that have one);
 //   - send/receive port capacities are never exceeded;
 //   - every communication departs no earlier than its value is ready on its
-//     source cluster, with the exact machine latency;
+//     source cluster, with the exact machine latency, to a cluster that
+//     exists;
 //   - every data operand has arrived on the consumer's cluster by its issue
 //     cycle, and memory-order edges are respected in lockstep time.
 //
-// It returns the first violation found, or nil.
+// It returns the first violation found, or nil. Occupancy lives in dense
+// tables whose rows are cycles (see cycleIndex): one bit per (cycle,
+// cluster, FU), one counter per (cycle, cluster) for each port kind and one
+// bit per (cycle, link). A port overflow names the lowest (cycle, cluster)
+// over its limit, sends before receives. The tables never depend on
+// listsched's: a checker that shared the scheduler's reservation code would
+// hide that code's bugs.
 func (s *Schedule) Validate() error {
 	g, m := s.Graph, s.Machine
-	if len(s.Placements) != g.Len() {
-		return fmt.Errorf("schedule: %d placements for %d instructions", len(s.Placements), g.Len())
+	n := g.Len()
+	if len(s.Placements) != n {
+		return fmt.Errorf("schedule: %d placements for %d instructions", len(s.Placements), n)
 	}
 	// Placement sanity.
 	for i, p := range s.Placements {
@@ -198,23 +207,30 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("schedule: preplaced instr %d on cluster %d, home %d", i, p.Cluster, in.Home)
 		}
 	}
+	nc, nf := m.NumClusters, len(m.FUs)
+	ix := newCycleIndex(s)
+	nl := 0 // mesh links per cycle row; 0 on crossbars
+	if m.LinkLevel() {
+		nl = 4 * nc
+	}
+	fuWords := (ix.rows*nc*nf + 63) / 64
+	words := make([]uint64, fuWords+(ix.rows*nl+63)/64)
+	fuBusy, linkBusy := words[:fuWords], words[fuWords:]
+
 	// FU occupancy, including transfer-unit use by communications.
-	type fuSlot struct{ cluster, fu, cycle int }
-	fuBusy := make(map[fuSlot]int)
 	for i, p := range s.Placements {
-		key := fuSlot{p.Cluster, p.FU, p.Start}
-		if prev, clash := fuBusy[key]; clash {
+		if testAndSet(fuBusy, (ix.row(p.Start)*nc+p.Cluster)*nf+p.FU) {
+			prev := 0
+			for s.Placements[prev].Cluster != p.Cluster || s.Placements[prev].FU != p.FU || s.Placements[prev].Start != p.Start {
+				prev++
+			}
 			return fmt.Errorf("schedule: instrs %d and %d share cluster %d FU %d at cycle %d", prev, i, p.Cluster, p.FU, p.Start)
 		}
-		fuBusy[key] = i
 	}
 	xfer := m.XferFU()
-	// Port occupancy and communication legality.
-	type portSlot struct{ cluster, cycle int }
-	sendUse := make(map[portSlot]int)
-	recvUse := make(map[portSlot]int)
+	// Communication legality.
 	for ci, c := range s.Comms {
-		if c.Value < 0 || c.Value >= g.Len() {
+		if c.Value < 0 || c.Value >= n {
 			return fmt.Errorf("schedule: comm %d moves unknown value %d", ci, c.Value)
 		}
 		if !g.Instrs[c.Value].Op.HasResult() {
@@ -227,57 +243,76 @@ func (s *Schedule) Validate() error {
 		if c.From == c.To {
 			return fmt.Errorf("schedule: comm %d from cluster %d to itself", ci, c.From)
 		}
+		if c.To < 0 || c.To >= nc {
+			return fmt.Errorf("schedule: comm %d to cluster %d of %d", ci, c.To, nc)
+		}
 		if c.Depart < p.Ready() {
 			return fmt.Errorf("schedule: comm %d departs at %d before value %d ready at %d", ci, c.Depart, c.Value, p.Ready())
 		}
 		if want := c.Depart + m.CommLatency(c.From, c.To); c.Arrive != want {
 			return fmt.Errorf("schedule: comm %d arrives at %d, want %d", ci, c.Arrive, want)
 		}
-		sendUse[portSlot{c.From, c.Depart}]++
-		recvUse[portSlot{c.To, c.Arrive}]++
-		if xfer >= 0 {
-			key := fuSlot{c.From, xfer, c.Depart}
-			if prev, clash := fuBusy[key]; clash {
-				return fmt.Errorf("schedule: comm %d and op %d share transfer unit on cluster %d at cycle %d", ci, prev, c.From, c.Depart)
-			}
-			fuBusy[key] = -1 - ci
+		if xfer >= 0 && testAndSet(fuBusy, (ix.row(c.Depart)*nc+c.From)*nf+xfer) {
+			return fmt.Errorf("schedule: comm %d and op %d share transfer unit on cluster %d at cycle %d", ci, s.xferHolder(ci), c.From, c.Depart)
 		}
 	}
-	for slot, n := range sendUse {
-		if n > m.SendPorts {
-			return fmt.Errorf("schedule: cluster %d sends %d values at cycle %d (limit %d)", slot.cluster, n, slot.cycle, m.SendPorts)
-		}
+	// Port occupancy, and the per-value comm index the dependence check
+	// reads, share one allocation.
+	ints := make([]int32, ix.rows*nc+n+1+len(s.Comms))
+	ports := ints[:ix.rows*nc]
+	if err := s.checkPorts(&ix, ports, false); err != nil {
+		return err
 	}
-	for slot, n := range recvUse {
-		if n > m.RecvPorts {
-			return fmt.Errorf("schedule: cluster %d receives %d values at cycle %d (limit %d)", slot.cluster, n, slot.cycle, m.RecvPorts)
-		}
+	clear(ports)
+	if err := s.checkPorts(&ix, ports, true); err != nil {
+		return err
 	}
 	// Link-level occupancy on mesh machines: a communication's head word
 	// crosses link i of its dimension-ordered route at cycle Depart+i,
 	// and each link carries one word per cycle.
-	if m.LinkLevel() {
-		type linkSlot struct {
-			link  machine.Link
-			cycle int
-		}
-		linkUse := make(map[linkSlot]int)
+	if nl > 0 {
 		for ci, c := range s.Comms {
 			for hop, l := range m.Route(c.From, c.To) {
-				key := linkSlot{l, c.Depart + hop}
-				linkUse[key]++
-				if linkUse[key] > 1 {
+				if testAndSet(linkBusy, ix.row(c.Depart+hop)*nl+linkID(m, l)) {
 					return fmt.Errorf("schedule: comm %d: link %d->%d carries two words at cycle %d",
 						ci, l.From, l.To, c.Depart+hop)
 				}
 			}
 		}
 	}
-	// Dependence timing.
-	for i := range g.Instrs {
+	// Dependence timing. Comms are grouped by value with a stable counting
+	// sort, so an operand's arrival scans only its own value's comms, in
+	// list order, exactly as ArrivalOn does.
+	end, byValue := ints[ix.rows*nc:][:n+1], ints[ix.rows*nc+n+1:]
+	for _, c := range s.Comms {
+		end[c.Value+1]++
+	}
+	for v := 1; v <= n; v++ {
+		end[v] += end[v-1]
+	}
+	for ci, c := range s.Comms {
+		byValue[end[c.Value]] = int32(ci)
+		end[c.Value]++
+	}
+	// end[v] is now the end of value v's run, and end[v-1] its start.
+	for i, in := range g.Instrs {
 		p := s.Placements[i]
-		for _, a := range g.Instrs[i].Args {
-			arr := s.ArrivalOn(a, p.Cluster)
+		for _, a := range in.Args {
+			pa := s.Placements[a]
+			arr := -1
+			if pa.Cluster == p.Cluster || g.Instrs[a].Op.IsConst() {
+				arr = pa.Ready()
+			} else {
+				lo := int32(0)
+				if a > 0 {
+					lo = end[a-1]
+				}
+				for _, ci := range byValue[lo:end[a]] {
+					if c := &s.Comms[ci]; c.To == p.Cluster && (arr < 0 || c.Arrive < arr) {
+						arr = c.Arrive
+					}
+				}
+			}
 			if arr < 0 {
 				return fmt.Errorf("schedule: operand %%%d of instr %d never arrives on cluster %d", a, i, p.Cluster)
 			}
@@ -294,6 +329,139 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
+}
+
+// testAndSet sets bit b of the row set and reports whether it was already
+// set.
+func testAndSet(bits []uint64, b int) bool {
+	w, m := &bits[b>>6], uint64(1)<<(b&63)
+	was := *w&m != 0
+	*w |= m
+	return was
+}
+
+// xferHolder returns the "op" of the transfer-unit clash error for comm
+// ci: -1-cj for the earlier comm cj holding the slot. No instruction can
+// hold it, because no opcode runs on a transfer unit.
+func (s *Schedule) xferHolder(ci int) int {
+	c, cj := s.Comms[ci], 0
+	for s.Comms[cj].From != c.From || s.Comms[cj].Depart != c.Depart {
+		cj++
+	}
+	return -1 - cj
+}
+
+// checkPorts counts every comm's use of one port kind — sends at (Depart,
+// From), or receives at (Arrive, To) — into cnt, one counter per (cycle
+// row, cluster), and reports the lowest (cycle, cluster) over the limit.
+func (s *Schedule) checkPorts(ix *cycleIndex, cnt []int32, recv bool) error {
+	m := s.Machine
+	nc, limit := m.NumClusters, m.SendPorts
+	if recv {
+		limit = m.RecvPorts
+	}
+	worst, worstCycle := -1, 0
+	for _, c := range s.Comms {
+		cluster, cycle := c.From, c.Depart
+		if recv {
+			cluster, cycle = c.To, c.Arrive
+		}
+		k := ix.row(cycle)*nc + cluster
+		cnt[k]++
+		if int(cnt[k]) > limit && (worst < 0 || k < worst) {
+			worst, worstCycle = k, cycle
+		}
+	}
+	switch {
+	case worst < 0:
+		return nil
+	case recv:
+		return fmt.Errorf("schedule: cluster %d receives %d values at cycle %d (limit %d)", worst%nc, cnt[worst], worstCycle, limit)
+	}
+	return fmt.Errorf("schedule: cluster %d sends %d values at cycle %d (limit %d)", worst%nc, cnt[worst], worstCycle, limit)
+}
+
+// linkID numbers a mesh link by its source cluster and direction.
+func linkID(m *machine.Model, l machine.Link) int {
+	switch l.To - l.From {
+	case 1:
+		return 4 * l.From
+	case -1:
+		return 4*l.From + 1
+	case m.MeshW:
+		return 4*l.From + 2
+	}
+	return 4*l.From + 3
+}
+
+// Identity rows are used while every event cycle lies below
+// rowsPerEvent*events + rowSlack; past that the tables index by rank, so
+// a forged Start of 1<<40 costs no more memory than a dense schedule.
+const (
+	rowsPerEvent = 4
+	rowSlack     = 64
+)
+
+// cycleIndex maps the cycles a schedule's events occupy — issue cycles,
+// departures, arrivals and mesh hop cycles — to rows of the occupancy
+// tables. A compact schedule, every cycle in [0, rows), uses the cycle
+// itself as its row. Otherwise the rows are the ranks of the sorted
+// distinct event cycles, which keeps every table O(events) however large
+// or negative the cycles are, and keeps rows in cycle order.
+type cycleIndex struct {
+	rows   int
+	cycles []int // sorted distinct event cycles in rank mode; nil when row == cycle
+}
+
+func (x *cycleIndex) row(t int) int {
+	if x.cycles == nil {
+		return t
+	}
+	r, _ := slices.BinarySearch(x.cycles, t)
+	return r
+}
+
+// newCycleIndex indexes every cycle the occupancy checks will look up. It
+// runs before the comms are validated, so it reads only their raw cycle
+// fields and walks a route only between clusters that exist.
+func newCycleIndex(s *Schedule) cycleIndex {
+	m := s.Machine
+	mesh := m.LinkLevel()
+	hasRoute := func(c Comm) bool {
+		return mesh && c.From != c.To && c.From >= 0 && c.From < m.NumClusters && c.To >= 0 && c.To < m.NumClusters
+	}
+	lo, hi := 0, 0
+	events := len(s.Placements) + 2*len(s.Comms)
+	for _, p := range s.Placements {
+		hi = max(hi, p.Start)
+	}
+	for _, c := range s.Comms {
+		lo, hi = min(lo, c.Depart, c.Arrive), max(hi, c.Depart, c.Arrive)
+		if hasRoute(c) {
+			hops := len(m.Route(c.From, c.To))
+			events += hops
+			last := c.Depart + hops - 1
+			lo, hi = min(lo, last), max(hi, last)
+		}
+	}
+	if lo >= 0 && hi < rowsPerEvent*events+rowSlack {
+		return cycleIndex{rows: hi + 1}
+	}
+	cycles := make([]int, 0, events)
+	for _, p := range s.Placements {
+		cycles = append(cycles, p.Start)
+	}
+	for _, c := range s.Comms {
+		cycles = append(cycles, c.Depart, c.Arrive)
+		if hasRoute(c) {
+			for hop := range m.Route(c.From, c.To) {
+				cycles = append(cycles, c.Depart+hop)
+			}
+		}
+	}
+	slices.Sort(cycles)
+	cycles = slices.Compact(cycles)
+	return cycleIndex{rows: len(cycles), cycles: cycles}
 }
 
 // MaxLivePerCluster estimates register pressure: for each cluster, the

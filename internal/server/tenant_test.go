@@ -6,6 +6,7 @@ package server
 // backward-compatible default class.
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -382,9 +383,19 @@ func TestTenantHTTPValidation(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("?tenant=acme: %d: %s", code, body)
 	}
-	if !strings.Contains(string(body), `"tenant": "acme"`) {
+	if got := attribution(t, body); got.Tenant != "acme" {
 		t.Errorf("response does not attribute the tenant: %s", body)
 	}
+}
+
+// attribution decodes the tenant and class a 200 body attributes the
+// request to.
+func attribution(t *testing.T, body []byte) (a struct{ Tenant, Class string }) {
+	t.Helper()
+	if err := json.Unmarshal(body, &a); err != nil {
+		t.Fatalf("decode response: %v: %.300s", err, body)
+	}
+	return a
 }
 
 // TestTenantBackwardCompatDefault: with tenancy configured, a request
@@ -407,8 +418,7 @@ func TestTenantBackwardCompatDefault(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("headerless request: %d: %s", code, body)
 	}
-	if !strings.Contains(string(body), `"tenant": "`+AnonymousTenant+`"`) ||
-		!strings.Contains(string(body), `"class": "`+DefaultClassName+`"`) {
+	if got := attribution(t, body); got.Tenant != AnonymousTenant || got.Class != DefaultClassName {
 		t.Errorf("headerless request not attributed to %s/%s: %.300s", AnonymousTenant, DefaultClassName, body)
 	}
 	// An unknown (unassigned) tenant also lands in the default class but
@@ -423,7 +433,7 @@ func TestTenantBackwardCompatDefault(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("unknown tenant: %d: %s", resp.StatusCode, body2)
 	}
-	if !strings.Contains(string(body2), `"class": "`+DefaultClassName+`"`) {
+	if got := attribution(t, body2); got.Tenant != "stranger" || got.Class != DefaultClassName {
 		t.Errorf("unknown tenant not in default class: %.300s", body2)
 	}
 
