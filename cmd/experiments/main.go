@@ -8,14 +8,15 @@
 //	experiments -exp fig10 -sizes 100,250,500,1000,2000
 //
 // Experiments: table1, table2, fig4, fig6, fig7, fig8, fig9, fig10, theta,
-// resilience (the chaos sweep: which ladder rung serves under each
-// injected fault class), obs (traced scheduling of the whole suite,
-// reduced to entropy/settling/latency rows — the BENCH_obs.json artifact:
-// experiments -exp obs -obs-out BENCH_obs.json), and oracle (per-kernel
-// optimality gaps of the ladder/tuned/baseline schedulers against the
-// exact branch-and-bound oracle's certified lower bounds — the
-// BENCH_oracle.json artifact: experiments -exp oracle -oracle-out
-// BENCH_oracle.json).
+// ablation (pass-sequence variants of the design choices DESIGN.md calls
+// out, against each machine's reference sequence), resilience (the chaos
+// sweep: which ladder rung serves under each injected fault class), obs
+// (traced scheduling of the whole suite, reduced to entropy/settling/latency
+// rows — the BENCH_obs.json artifact: experiments -exp obs -obs-out
+// BENCH_obs.json), and oracle (per-kernel optimality gaps of the
+// ladder/tuned/baseline schedulers against the exact branch-and-bound
+// oracle's certified lower bounds — the BENCH_oracle.json artifact:
+// experiments -exp oracle -oracle-out BENCH_oracle.json).
 package main
 
 import (
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment to run: all|table1|table2|fig4|fig6|fig7|fig8|fig9|fig10|theta|resilience|obs|oracle")
+	which := flag.String("exp", "all", "experiment to run: all|table1|table2|fig4|fig6|fig7|fig8|fig9|fig10|theta|ablation|resilience|obs|oracle")
 	sizes := flag.String("sizes", "100,250,500,1000,2000", "instruction counts for fig10")
 	kernels := flag.String("kernels", "vvmul,mxm", "kernels for the resilience sweep")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-attempt budget for the resilience sweep")
@@ -101,6 +102,14 @@ func run(which, sizesArg, kernelsArg, obsOut, oracleOut string, oracleBudget int
 			return err
 		}
 		fmt.Println(exp.RenderThetaSweep(rows))
+	}
+	if want("ablation") {
+		any = true
+		rows, err := exp.Ablations()
+		if err != nil {
+			return err
+		}
+		fmt.Println(exp.RenderAblations(rows))
 	}
 	if want("resilience") {
 		any = true

@@ -105,22 +105,48 @@ func structuredError(code int, body []byte) error {
 
 // liveShard is one schedd instance the chaos test can kill and restart.
 type liveShard struct {
-	name    string // host:port, fixed for the test's lifetime
-	dir     string // persistent store, survives the crash
-	peerKey string // cluster peer secret; empty disables the peer surface
+	name    string       // host:port, fixed for the test's lifetime
+	dir     string       // persistent store, survives the crash
+	peerKey string       // cluster peer secret; empty disables the peer surface
+	ln      net.Listener // the reserved address, served by the first boot
 	srv     *server.Server
 	hs      *http.Server
 }
 
-// boot starts (or restarts) the shard's daemon on its address. The listener
-// is created fresh each time so a SIGKILLed shard can come back on the same
-// port the ring knows it by.
+// reserveShard binds a fresh loopback port for a shard. The listener stays
+// open until the shard's first boot serves on it, so no other process can
+// take the port between the reservation and the boot.
+func reserveShard(t *testing.T, peerKey string) *liveShard {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &liveShard{name: ln.Addr().String(), dir: filepath.Join(t.TempDir(), "store"), peerKey: peerKey, ln: ln}
+}
+
+// boot starts the shard's daemon on its reserved listener.
 func (s *liveShard) boot(t *testing.T, chaos *faultinject.Chaos) {
 	t.Helper()
+	if err := s.serve(s.ln, chaos); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// restart brings a killed shard back on the address the ring knows it by.
+// It is the one place the test binds an address again, and it runs on a
+// spawned goroutine, so it returns its error for t.Errorf instead of
+// failing the test itself.
+func (s *liveShard) restart() error {
 	ln, err := net.Listen("tcp", s.name)
 	if err != nil {
-		t.Fatalf("shard %s: listen: %v", s.name, err)
+		return fmt.Errorf("shard %s: listen again after kill: %w", s.name, err)
 	}
+	return s.serve(ln, nil)
+}
+
+// serve opens the shard's store and serves its daemon on ln.
+func (s *liveShard) serve(ln net.Listener, chaos *faultinject.Chaos) error {
 	s.srv = server.New(server.Config{
 		Seed:         2002,
 		ShardID:      s.name,
@@ -130,10 +156,12 @@ func (s *liveShard) boot(t *testing.T, chaos *faultinject.Chaos) {
 		Chaos:        chaos,
 	})
 	if err := s.srv.OpenStore(); err != nil {
-		t.Fatalf("shard %s: open store: %v", s.name, err)
+		ln.Close()
+		return fmt.Errorf("shard %s: open store: %w", s.name, err)
 	}
 	s.hs = &http.Server{Handler: s.srv.Handler()}
 	go s.hs.Serve(ln)
+	return nil
 }
 
 // kill is the SIGKILL stand-in: the listener and every live connection die
@@ -161,14 +189,8 @@ func TestClusterChaos(t *testing.T) {
 	shards := make([]*liveShard, 3)
 	names := make([]string, 3)
 	for i := range shards {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		shards[i] = &liveShard{name: addr, dir: filepath.Join(t.TempDir(), "store")}
-		names[i] = addr
+		shards[i] = reserveShard(t, "")
+		names[i] = shards[i].name
 	}
 	probe := NewRing()
 	for _, n := range names {
@@ -268,14 +290,24 @@ func TestClusterChaos(t *testing.T) {
 			for i := 0; i < perClient; i++ {
 				post(units[(c+i)%len(units)], seedCounter.Add(1))
 				// A quarter of the way in, the victim dies mid-flood and
-				// warm-restarts 400ms later on the same port.
+				// warm-restarts on the same port once it has been down for
+				// 400ms and the gateway has routed around it. Only the unit
+				// it owns routes to it first, so on a slow runner 400ms can
+				// pass with no request meeting it dead; the wait for the
+				// reroute is bounded, and a flood that never meets it still
+				// fails the reroute check below.
 				if posted.Load() >= clients*perClient/4 {
 					killOnce.Do(func() {
 						victim.kill()
 						go func() {
+							defer close(killDone)
 							time.Sleep(400 * time.Millisecond)
-							victim.boot(t, nil)
-							close(killDone)
+							for end := time.Now().Add(3 * time.Second); g.StatsSnapshot().Reroutes == 0 && time.Now().Before(end); {
+								time.Sleep(10 * time.Millisecond)
+							}
+							if err := victim.restart(); err != nil {
+								t.Errorf("victim restart: %v", err)
+							}
 						}()
 					})
 				}
@@ -365,14 +397,8 @@ func TestMembershipChurnChaos(t *testing.T) {
 	seeds := make([]*liveShard, 3)
 	names := make([]string, 3)
 	for i := range seeds {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		seeds[i] = &liveShard{name: addr, dir: filepath.Join(t.TempDir(), "store"), peerKey: "cluster-k"}
-		names[i] = addr
+		seeds[i] = reserveShard(t, "cluster-k")
+		names[i] = seeds[i].name
 	}
 	unitKeys := make([]uint64, len(units))
 	for i, u := range units {
@@ -392,19 +418,17 @@ func TestMembershipChurnChaos(t *testing.T) {
 	// of distinct routing keys this needs a small search over candidate ports.
 	var joiner *liveShard
 	for try := 0; try < 16 && joiner == nil; try++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		cand := seedRing.Clone()
-		cand.Add(addr)
+		cand := reserveShard(t, "cluster-k")
+		ring := seedRing.Clone()
+		ring.Add(cand.name)
 		for _, k := range unitKeys {
-			if cand.Owners(k, 1)[0] == addr {
-				joiner = &liveShard{name: addr, dir: filepath.Join(t.TempDir(), "store"), peerKey: "cluster-k"}
+			if ring.Owners(k, 1)[0] == cand.name {
+				joiner = cand
 				break
 			}
+		}
+		if joiner == nil {
+			cand.ln.Close()
 		}
 	}
 	if joiner == nil {
@@ -585,7 +609,9 @@ func TestMembershipChurnChaos(t *testing.T) {
 		waitPosted(20)
 		victim.kill()
 		time.Sleep(400 * time.Millisecond)
-		victim.boot(t, nil)
+		if err := victim.restart(); err != nil {
+			t.Errorf("victim restart: %v", err)
+		}
 		// Let the prober re-admit it, then end the flood.
 		time.Sleep(500 * time.Millisecond)
 		stop.Store(true)

@@ -56,7 +56,7 @@ func TestLoadsSumToInstructionCount(t *testing.T) {
 	g := smallGraph()
 	s := NewState(g, machine.Raw(4), 1)
 	total := 0.0
-	for _, l := range s.Loads() {
+	for _, l := range s.LoadsInto(make([]float64, 4)) {
 		total += l
 	}
 	if diff := total - 3; diff > 1e-9 || diff < -1e-9 {

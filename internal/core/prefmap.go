@@ -647,11 +647,6 @@ func (p *PrefMap) Clone() *PrefMap {
 	return q
 }
 
-// PreferredClusters returns every instruction's preferred cluster.
-func (p *PrefMap) PreferredClusters() []int {
-	return p.PreferredClustersInto(make([]int, p.n))
-}
-
 // PreferredClustersInto fills dst, which must hold N values, with every
 // instruction's preferred cluster and returns it.
 func (p *PrefMap) PreferredClustersInto(dst []int) []int {

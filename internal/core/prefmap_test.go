@@ -166,7 +166,7 @@ func TestPreferredSlices(t *testing.T) {
 	p := NewPrefMap(2, 2, 2)
 	p.MulCluster(1, 1, 10)
 	p.MulTime(1, 1, 10)
-	pc := p.PreferredClusters()
+	pc := p.PreferredClustersInto(make([]int, 2))
 	pt := p.PreferredTimes()
 	if pc[1] != 1 || pt[1] != 1 {
 		t.Errorf("PreferredClusters=%v PreferredTimes=%v", pc, pt)

@@ -165,15 +165,10 @@ func (s *State) Distances(src int) []int {
 	return d
 }
 
-// Loads returns the current spatial load estimate per cluster: the sum over
+// LoadsInto writes the current spatial load estimate per cluster into dst,
+// which must hold Clusters values, and returns dst: the sum over
 // instructions of their cluster marginal. With normalized weights the loads
-// sum to the instruction count.
-func (s *State) Loads() []float64 {
-	return s.LoadsInto(make([]float64, s.W.Clusters()))
-}
-
-// LoadsInto is Loads accumulating into dst, which must hold Clusters values;
-// it returns dst. The hot path passes a scratch buffer here.
+// sum to the instruction count. The hot path passes a scratch buffer here.
 func (s *State) LoadsInto(dst []float64) []float64 {
 	for c := range dst {
 		dst[c] = 0

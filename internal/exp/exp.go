@@ -1,6 +1,8 @@
 // Package exp reproduces every table and figure of the paper's evaluation
-// (Section 5). Each experiment returns structured rows that cmd/experiments
-// renders as text tables/plots and bench_test.go wraps as benchmarks.
+// (Section 5) and the design-choice ablations. Each experiment returns
+// structured rows that cmd/experiments renders as text tables/plots and the
+// golden tests pin. Baseline scheduler calls go through robust.Guard, so a
+// crashing baseline becomes a clean error, never a dead experiment process.
 package exp
 
 import (
@@ -44,12 +46,6 @@ var Workers int
 func convergentBatch(jobs []engine.Job) []engine.Result {
 	e := engine.New(Workers, 2*len(jobs))
 	return e.Batch(context.Background(), jobs)
-}
-
-// guarded wraps a baseline scheduler call with panic isolation: a crashing
-// baseline becomes a clean error, never a dead experiment process.
-func guarded(name string, fn func() (*schedule.Schedule, error)) (*schedule.Schedule, error) {
-	return robust.Guard(name, fn)
 }
 
 // singleClusterCycles schedules the kernel's 1-cluster build on the
@@ -123,7 +119,7 @@ func Table2() ([]Table2Row, error) {
 		for ti, tiles := range Tiles {
 			m := machine.Raw(tiles)
 			g := k.Build(tiles)
-			bs, err := guarded("rawcc", func() (*schedule.Schedule, error) { return rawcc.Schedule(g, m) })
+			bs, err := robust.Guard("rawcc", func() (*schedule.Schedule, error) { return rawcc.Schedule(g, m) })
 			if err != nil {
 				return nil, fmt.Errorf("exp: rawcc %s/%d: %w", k.Name, tiles, err)
 			}
@@ -226,7 +222,7 @@ func Fig8() ([]Fig8Row, error) {
 		row := Fig8Row{Benchmark: k.Name}
 
 		g := k.Build(4)
-		ps, err := guarded("pcc", func() (*schedule.Schedule, error) { return pcc.Schedule(g, m, pcc.Options{}) })
+		ps, err := robust.Guard("pcc", func() (*schedule.Schedule, error) { return pcc.Schedule(g, m, pcc.Options{}) })
 		if err != nil {
 			return nil, fmt.Errorf("exp: pcc %s: %w", k.Name, err)
 		}
@@ -236,7 +232,7 @@ func Fig8() ([]Fig8Row, error) {
 		row.PCC = float64(one) / float64(ps.Length())
 
 		ug := k.Build(4)
-		us, err := guarded("uas", func() (*schedule.Schedule, error) { return uas.Schedule(ug, m) })
+		us, err := robust.Guard("uas", func() (*schedule.Schedule, error) { return uas.Schedule(ug, m) })
 		if err != nil {
 			return nil, fmt.Errorf("exp: uas %s: %w", k.Name, err)
 		}
@@ -296,19 +292,19 @@ func Fig10(sizes []int) ([]Fig10Row, error) {
 		// Guard adds no goroutine or clone, so the timings stay honest
 		// while a crashing scheduler still can't kill the study.
 		t0 := time.Now()
-		if _, err := guarded("pcc", func() (*schedule.Schedule, error) { return pcc.Schedule(g, m, pcc.Options{}) }); err != nil {
+		if _, err := robust.Guard("pcc", func() (*schedule.Schedule, error) { return pcc.Schedule(g, m, pcc.Options{}) }); err != nil {
 			return nil, fmt.Errorf("exp: fig10 pcc n=%d: %w", n, err)
 		}
 		row.PCCSec = time.Since(t0).Seconds()
 
 		t0 = time.Now()
-		if _, err := guarded("uas", func() (*schedule.Schedule, error) { return uas.Schedule(g, m) }); err != nil {
+		if _, err := robust.Guard("uas", func() (*schedule.Schedule, error) { return uas.Schedule(g, m) }); err != nil {
 			return nil, fmt.Errorf("exp: fig10 uas n=%d: %w", n, err)
 		}
 		row.UASSec = time.Since(t0).Seconds()
 
 		t0 = time.Now()
-		if _, err := guarded("convergent", func() (*schedule.Schedule, error) {
+		if _, err := robust.Guard("convergent", func() (*schedule.Schedule, error) {
 			s, _, err := core.Schedule(g, m, passes.VliwSequence(), Seed)
 			return s, err
 		}); err != nil {
@@ -383,7 +379,7 @@ func PCCThetaSweep(thetas []int) ([]ThetaRow, error) {
 		t0 := time.Now()
 		for _, k := range bench.VliwSuite() {
 			g := k.Build(4)
-			s, err := guarded("pcc", func() (*schedule.Schedule, error) { return pcc.Schedule(g, m, pcc.Options{Theta: th}) })
+			s, err := robust.Guard("pcc", func() (*schedule.Schedule, error) { return pcc.Schedule(g, m, pcc.Options{Theta: th}) })
 			if err != nil {
 				return nil, fmt.Errorf("exp: theta %d: %s: %w", th, k.Name, err)
 			}

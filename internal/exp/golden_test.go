@@ -68,6 +68,17 @@ func TestGoldenFig8(t *testing.T) {
 	checkGolden(t, "fig8.golden", RenderFig8(rows))
 }
 
+func TestGoldenAblations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment")
+	}
+	rows, err := Ablations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ablation.golden", RenderAblations(rows))
+}
+
 // TestGoldenConvergence pins Figures 7 and 9 exactly: for every benchmark,
 // the count of instructions whose preferred cluster changed at each pass.
 // The rendered heat map is too coarse to notice a single moved instruction;

@@ -221,7 +221,7 @@ func oracleRow(name string, micro bool, build func(int) *ir.Graph, m *machine.Mo
 
 	baseline := robust.BaselineRung(m)
 	row.BaselineName = baseline.Name
-	base, err := guarded(baseline.Name, func() (*schedule.Schedule, error) { return baseline.Run(context.Background(), g) })
+	base, err := robust.Guard(baseline.Name, func() (*schedule.Schedule, error) { return baseline.Run(context.Background(), g) })
 	if err != nil {
 		return nil, fmt.Errorf("exp: oracle %s %s on %s: %w", row.BaselineName, name, m.Name, err)
 	}

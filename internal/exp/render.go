@@ -78,10 +78,7 @@ func RenderConvergence(title string, rows []ConvergenceRow) string {
 	if len(rows) == 0 {
 		return title + ": no data\n"
 	}
-	var passNames []string
-	for _, p := range rows[0].Passes {
-		passNames = append(passNames, p)
-	}
+	passNames := rows[0].Passes
 	var cols []string
 	frac := make([][]float64, len(passNames))
 	for pi := range passNames {

@@ -5,11 +5,6 @@ package ir
 // same graph can be scheduled for machines with different timings.
 type LatencyFunc func(Op) int
 
-// UnitLatency assigns every opcode a latency of one cycle. It is the latency
-// model used by the unit-level analyses (the paper's "level" of an
-// instruction is its distance from the furthest root, counted in edges).
-func UnitLatency(Op) int { return 1 }
-
 // EarliestStart returns, per instruction, the earliest cycle it could issue
 // on a machine with infinite resources and zero communication cost: the
 // length of the longest predecessor chain ("lp" in the paper), measured with
@@ -72,80 +67,6 @@ func (g *Graph) CriticalPathLength(lat LatencyFunc) int {
 	return cpl
 }
 
-// LatestStart returns, per instruction, the latest cycle it could issue
-// without stretching the critical path: CPL - Height(i).
-func (g *Graph) LatestStart(lat LatencyFunc) []int {
-	h := g.Height(lat)
-	cpl := 0
-	for _, v := range h {
-		if v > cpl {
-			cpl = v
-		}
-	}
-	ls := make([]int, len(h))
-	for i, v := range h {
-		ls[i] = cpl - v
-	}
-	return ls
-}
-
-// Slack returns LatestStart(i) - EarliestStart(i) per instruction. Zero
-// slack marks the critical path.
-func (g *Graph) Slack(lat LatencyFunc) []int {
-	es := g.EarliestStart(lat)
-	lst := g.LatestStart(lat)
-	s := make([]int, len(es))
-	for i := range s {
-		s[i] = lst[i] - es[i]
-	}
-	return s
-}
-
-// CriticalPath returns one longest root-to-leaf chain under the given
-// latencies, as an ordered slice of instruction IDs. Of several equally long
-// chains it picks the one threading lowest IDs. Returns nil for an empty
-// graph.
-func (g *Graph) CriticalPath(lat LatencyFunc) []int {
-	if g.Len() == 0 {
-		return nil
-	}
-	h := g.Height(lat)
-	es := g.EarliestStart(lat)
-	cpl := 0
-	for _, v := range h {
-		if v > cpl {
-			cpl = v
-		}
-	}
-	// Start at the lowest-ID root of a longest chain.
-	cur := -1
-	for i := range g.Instrs {
-		if es[i] == 0 && h[i] == cpl {
-			cur = i
-			break
-		}
-	}
-	if cur < 0 {
-		return nil
-	}
-	path := []int{cur}
-	for {
-		next := -1
-		for _, s := range g.succs[cur] {
-			// The chain continues through a successor whose height
-			// accounts for the remainder of the critical path.
-			if h[s] == h[cur]-lat(g.Instrs[cur].Op) && (next < 0 || s < next) {
-				next = s
-			}
-		}
-		if next < 0 {
-			return path
-		}
-		path = append(path, next)
-		cur = next
-	}
-}
-
 // UnitLevel returns the paper's level(i): the distance of each instruction
 // from the furthest root, counted in edges. Roots are level 0.
 func (g *Graph) UnitLevel() []int {
@@ -165,17 +86,6 @@ func (g *Graph) UnitLevelInto(lv []int) []int {
 		}
 	}
 	return lv
-}
-
-// MaxUnitLevel returns the largest UnitLevel, or -1 for an empty graph.
-func (g *Graph) MaxUnitLevel() int {
-	max := -1
-	for _, l := range g.UnitLevel() {
-		if l > max {
-			max = l
-		}
-	}
-	return max
 }
 
 // Distances returns the undirected dependence-graph distance (in edges) from

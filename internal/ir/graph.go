@@ -260,18 +260,6 @@ func (g *Graph) Succs(i int) []int {
 	return g.succs[i]
 }
 
-// Roots returns the IDs of instructions with no predecessors.
-func (g *Graph) Roots() []int {
-	g.Seal()
-	var r []int
-	for i := range g.Instrs {
-		if len(g.preds[i]) == 0 {
-			r = append(r, i)
-		}
-	}
-	return r
-}
-
 // Leaves returns the IDs of instructions with no successors.
 func (g *Graph) Leaves() []int {
 	g.Seal()

@@ -255,10 +255,10 @@ func TestLoadRebalances(t *testing.T) {
 		s.W.MulCluster(i, 0, 4)
 	}
 	s.W.NormalizeAll()
-	before := s.Loads()
+	before := s.LoadsInto(make([]float64, s.W.Clusters()))
 	Load{}.Run(s)
 	s.W.NormalizeAll()
-	after := s.Loads()
+	after := s.LoadsInto(make([]float64, s.W.Clusters()))
 	if after[0] >= before[0] {
 		t.Errorf("LOAD did not reduce the overloaded cluster: %v -> %v", before, after)
 	}

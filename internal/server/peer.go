@@ -259,7 +259,14 @@ func (s *Server) peerFetch(ctx context.Context, peerBase string, job engine.Job)
 	}
 	var rec store.Record
 	if err := json.NewDecoder(io.LimitReader(resp.Body, MaxBodyBytes)).Decode(&rec); err != nil {
-		s.peer.rejected.Add(1)
+		// A body cut off because the fetch was abandoned (the request that
+		// wanted it ended, or peerTimeout fired) is a transport failure,
+		// not a record the gate refused.
+		if ctx.Err() != nil {
+			s.peer.errors.Add(1)
+		} else {
+			s.peer.rejected.Add(1)
+		}
 		return false
 	}
 	// Key pinning: the peer must answer the key we asked for. (Even a forged

@@ -267,3 +267,35 @@ func TestPeerLookupBeforeCompute(t *testing.T) {
 		t.Errorf("warm shard fetched again: lookups = %d", got)
 	}
 }
+
+// TestPeerFetchCutOffIsNotARejection: a peer that answers 200 and then stalls
+// mid-body until peerTimeout abandons the fetch is a transport failure, not
+// a record the legality gate refused. The request still computes locally.
+func TestPeerFetchCutOffIsNotARejection(t *testing.T) {
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusOK)
+		io.WriteString(w, `{"key":"`)
+		w.(http.Flusher).Flush()
+		<-r.Context().Done()
+	}))
+	defer stalled.Close()
+	s := New(Config{PeerKey: "cluster-k"})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/schedule?machine=vliw4&seed=2002", strings.NewReader(ddgFor(t, "fir", 4)))
+	req.Header.Set(PeerHeader, stalled.URL)
+	req.Header.Set(PeerSigHeader, SignPeerHint("cluster-k", stalled.URL))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("request with a stalled peer: %d: %s", resp.StatusCode, body)
+	}
+	if st := s.StatsSnapshot().Peer; st.Lookups != 1 || st.Errors != 1 || st.Rejected != 0 {
+		t.Errorf("peer counters = %+v, want 1 lookup, 1 error, 0 rejected", st)
+	}
+}
