@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -30,10 +31,14 @@ type State struct {
 	// root.
 	UnitLevel []int
 
-	// distVecs caches Distances results per source, validated by epoch:
-	// distVecs[src] is current when distGen[src] == distEpoch. Bumping the
-	// epoch in init invalidates the whole cache without clearing anything.
-	distVecs  [][]int
+	// dist holds the Distances rows of the current graph, appended on
+	// first use: the row of source src starts at dist[distOff[src]] and is
+	// current when distGen[src] == distEpoch. init bumps the epoch and
+	// truncates dist, so a recycled state refills the same grow-only table
+	// without clearing it. distQueue is the breadth-first work list.
+	dist      []int32
+	distQueue []int32
+	distOff   []int
 	distGen   []int
 	distEpoch int
 
@@ -110,13 +115,16 @@ func (s *State) init(g *ir.Graph, m *machine.Model, seed int64) {
 		// noise stream a fresh one does.
 		s.Rand.Seed(seed)
 	}
-	if cap(s.distVecs) < n {
-		s.distVecs = make([][]int, n)
+	if cap(s.distGen) < n {
+		s.distOff = make([]int, n)
 		s.distGen = make([]int, n)
+		s.distQueue = make([]int32, n)
 	} else {
-		s.distVecs = s.distVecs[:n]
+		s.distOff = s.distOff[:n]
 		s.distGen = s.distGen[:n]
+		s.distQueue = s.distQueue[:n]
 	}
+	s.dist = s.dist[:0]
 	s.distEpoch++
 
 	s.Graph, s.Machine = g, m
@@ -155,14 +163,18 @@ func (s *State) Scratch() *Scratch {
 
 // Distances returns (and caches) the undirected dependence-graph distances
 // from instruction src to every instruction; -1 marks unreachable nodes.
-func (s *State) Distances(src int) []int {
+// The row lives in the state's table: callers must not modify it.
+func (s *State) Distances(src int) []int32 {
+	n := s.Graph.Len()
 	if s.distGen[src] == s.distEpoch {
-		return s.distVecs[src]
+		off := s.distOff[src]
+		return s.dist[off : off+n : off+n]
 	}
-	d := s.Graph.Distances(src)
-	s.distVecs[src] = d
-	s.distGen[src] = s.distEpoch
-	return d
+	off := len(s.dist)
+	s.dist = slices.Grow(s.dist, n)[:off+n]
+	row := s.Graph.DistancesInto(src, s.dist[off:off+n:off+n], s.distQueue)
+	s.distOff[src], s.distGen[src] = off, s.distEpoch
+	return row
 }
 
 // LoadsInto writes the current spatial load estimate per cluster into dst,

@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"sync"
 
-	"repro/internal/ir"
 	"repro/internal/machine"
 	"repro/internal/schedule"
 )
@@ -25,13 +24,15 @@ type entry struct {
 	// this process; traced hits on such entries report the "persisted-hit"
 	// cache path.
 	fromStore bool
-	// graph and mach reference the graph and machine the entry was produced
-	// for, so the entry can be exported to a cluster peer (export.go) in the
-	// same wire form the persistent store uses. Graphs are sealed after
-	// construction and models are never mutated by the engine, so holding
-	// the references is safe and cheap.
-	graph *ir.Graph
-	mach  *machine.Model
+	// text is the .ddg text (irtext.String) of the graph the entry was
+	// produced for, rendered once when the entry is made: it is what an
+	// export to a cluster peer or the store carries (export.go). The entry
+	// keeps the text rather than the sealed graph, over ten times its
+	// size, so the request's graph is collected once the request is done.
+	// mach is the model the entry was produced for; models are shared and
+	// never mutated by the engine, so holding the pointer is safe and free.
+	text string
+	mach *machine.Model
 }
 
 // Stats is a point-in-time snapshot of the cache counters.

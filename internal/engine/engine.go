@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/ir"
+	"repro/internal/irtext"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/robust"
@@ -237,10 +238,11 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 		}
 		mine = s
 		ent := canonicalize(s, rep.Served, canon)
-		// The graph and machine references make the entry exportable to a
+		// The graph's text and the machine make the entry exportable to a
 		// cluster peer and the store (export.go); they do not affect
-		// rehydration.
-		ent.graph, ent.mach = job.Graph, job.Machine
+		// rehydration. Rendering here, once, keeps the entry from pinning
+		// the request's graph.
+		ent.text, ent.mach = irtext.String(job.Graph), job.Machine
 		// A result produced while a circuit breaker skipped a rung is
 		// load-dependent, not content-determined: it is shared with the
 		// flight's waiters but never memoized (nor persisted).

@@ -13,7 +13,6 @@ package engine
 import (
 	"errors"
 
-	"repro/internal/irtext"
 	"repro/internal/machine"
 	"repro/internal/store"
 )
@@ -43,7 +42,7 @@ func (e *Engine) HasCached(key string) bool {
 // importer's gate and recovery replay re-derive. Entries computed for custom
 // or mutated models stay local and in RAM.
 func exportRecord(key string, ent entry) (*store.Record, bool) {
-	if ent.graph == nil || ent.mach == nil || ent.mach.Name == "" {
+	if ent.mach == nil || ent.mach.Name == "" {
 		return nil, false
 	}
 	fp := ent.mach.Fingerprint()
@@ -58,7 +57,7 @@ func exportRecord(key string, ent entry) (*store.Record, bool) {
 		Served:      ent.served,
 		Placements:  ent.placements,
 		Comms:       ent.comms,
-		Graph:       []byte(irtext.String(ent.graph)),
+		Graph:       []byte(ent.text),
 	}, true
 }
 

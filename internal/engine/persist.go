@@ -190,10 +190,13 @@ func verifyRecord(rec *store.Record) (entry, error) {
 		return entry{}, fmt.Errorf("%w: embedded graph: %v", store.ErrCorrupt, err)
 	}
 	ent := entry{placements: rec.Placements, comms: rec.Comms, served: rec.Served,
-		fromStore: true, graph: g, mach: m}
+		fromStore: true, mach: m}
 	if _, err := rehydrate(ent, Job{Graph: g, Machine: m}, g.Canonical()); err != nil {
 		return entry{}, fmt.Errorf("legality gate rejected record: %w", err)
 	}
+	// The entry keeps the graph's text as this engine renders it, not the
+	// record's bytes, so what it exports is what a computed entry would.
+	ent.text = irtext.String(g)
 	return ent, nil
 }
 

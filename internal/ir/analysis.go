@@ -88,30 +88,29 @@ func (g *Graph) UnitLevelInto(lv []int) []int {
 	return lv
 }
 
-// Distances returns the undirected dependence-graph distance (in edges) from
-// the given source to every instruction; unreachable instructions get -1.
+// DistancesInto writes the undirected dependence-graph distance (in edges)
+// from src to every instruction into dst, and returns dst; unreachable
+// instructions get -1. dst and queue must each hold Len values: queue is
+// the breadth-first work list, read by index, so the call never allocates.
 // The LEVEL pass uses this to keep nearby instructions in the same bin.
-func (g *Graph) Distances(src int) []int {
+func (g *Graph) DistancesInto(src int, dst, queue []int32) []int32 {
 	g.Seal()
-	d := make([]int, len(g.Instrs))
-	for i := range d {
-		d[i] = -1
+	for i := range dst {
+		dst[i] = -1
 	}
-	d[src] = 0
-	queue := []int{src}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		for _, lists := range [2][][]int{g.preds, g.succs} {
-			for _, nb := range lists[cur] {
-				if d[nb] < 0 {
-					d[nb] = d[cur] + 1
-					queue = append(queue, nb)
-				}
+	dst[src] = 0
+	queue[0] = int32(src)
+	for head, tail := 0, 1; head < tail; head++ {
+		cur := queue[head]
+		for _, nb := range g.neighbors[cur] {
+			if dst[nb] < 0 {
+				dst[nb] = dst[cur] + 1
+				queue[tail] = int32(nb)
+				tail++
 			}
 		}
 	}
-	return d
+	return dst
 }
 
 // Neighbors returns the deduplicated union of predecessors and successors of

@@ -182,7 +182,7 @@ func TestDistancesBFS(t *testing.T) {
 	b := g.Add(Neg, a.ID)
 	c := g.Add(Neg, b.ID)
 	iso := g.AddConst(9)
-	d := g.Distances(a.ID)
+	d := g.DistancesInto(a.ID, make([]int32, g.Len()), make([]int32, g.Len()))
 	if d[b.ID] != 1 || d[c.ID] != 2 {
 		t.Errorf("Distances = %v", d)
 	}

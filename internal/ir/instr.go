@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // NoBank marks an instruction that does not touch memory.
 const NoBank = -1
@@ -47,25 +44,41 @@ func (in *Instr) Preplaced() bool { return in.Home != NoHome }
 // String renders the instruction in the .ddg text form, for example
 // "7: add %3 %5" or "2: load %0 bank=1 @home=3".
 func (in *Instr) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d: %s", in.ID, in.Op)
+	return string(in.AppendText(nil))
+}
+
+// AppendText appends the instruction's .ddg text form (String) to b and
+// returns the extended buffer. It is the one renderer of the format: it
+// formats with strconv only, so a caller that sizes b up front renders a
+// whole graph without a further allocation. A float immediate is printed
+// in strconv's shortest 'g' form, which is what fmt's %g prints.
+func (in *Instr) AppendText(b []byte) []byte {
+	b = strconv.AppendInt(b, int64(in.ID), 10)
+	b = append(b, ": "...)
+	b = in.Op.appendName(b)
 	for _, a := range in.Args {
-		fmt.Fprintf(&b, " %%%d", a)
+		b = append(b, " %"...)
+		b = strconv.AppendInt(b, int64(a), 10)
 	}
 	switch in.Op {
 	case ConstInt:
-		fmt.Fprintf(&b, " %d", in.Imm)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, in.Imm, 10)
 	case ConstFloat:
-		fmt.Fprintf(&b, " %g", in.FImm)
+		b = append(b, ' ')
+		b = strconv.AppendFloat(b, in.FImm, 'g', -1, 64)
 	}
 	if in.Bank != NoBank {
-		fmt.Fprintf(&b, " bank=%d", in.Bank)
+		b = append(b, " bank="...)
+		b = strconv.AppendInt(b, int64(in.Bank), 10)
 	}
 	if in.Preplaced() {
-		fmt.Fprintf(&b, " @home=%d", in.Home)
+		b = append(b, " @home="...)
+		b = strconv.AppendInt(b, int64(in.Home), 10)
 	}
 	if in.Name != "" {
-		fmt.Fprintf(&b, " ; %s", in.Name)
+		b = append(b, " ; "...)
+		b = append(b, in.Name...)
 	}
-	return b.String()
+	return b
 }

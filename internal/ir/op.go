@@ -9,7 +9,7 @@
 // and verified, yet small enough that machine models stay simple.
 package ir
 
-import "fmt"
+import "strconv"
 
 // Op identifies an instruction opcode.
 type Op int
@@ -126,9 +126,19 @@ const NumOps = int(numOps)
 // String returns the assembler-style mnemonic for the opcode.
 func (op Op) String() string {
 	if op < 0 || op >= numOps {
-		return fmt.Sprintf("op(%d)", int(op))
+		return string(op.appendName(nil))
 	}
 	return opNames[op]
+}
+
+// appendName appends the mnemonic, or "op(N)" for an undefined opcode.
+func (op Op) appendName(b []byte) []byte {
+	if op < 0 || op >= numOps {
+		b = append(b, "op("...)
+		b = strconv.AppendInt(b, int64(op), 10)
+		return append(b, ')')
+	}
+	return append(b, opNames[op]...)
 }
 
 // OpFromString returns the opcode with the given mnemonic, or false if the

@@ -16,8 +16,9 @@ import (
 // FuzzParse feeds arbitrary text to the .ddg parser. The contract under
 // test: Parse never panics — malformed input (undefined operands, bad
 // arity, backward memory edges, garbage tokens) comes back as an error —
-// anything Parse does accept survives the Parse→String→Parse round-trip as
-// a fixed point, and Parse agrees with the reference parser: the same
+// anything Parse does accept prints exactly as the reference printer prints
+// it and survives the Parse→String→Parse round-trip as a fixed point, and
+// Parse agrees with the reference parser: the same
 // error message, or the same graph with the same sealed adjacency as the
 // reference seal computes.
 func FuzzParse(f *testing.F) {
@@ -68,6 +69,9 @@ memedge 2 4
 			return // rejected cleanly; that is the contract
 		}
 		s := irtext.String(g)
+		if ref := refString(t, g); s != ref {
+			t.Fatalf("String disagrees with the reference printer:\n%s\nreference:\n%s", s, ref)
+		}
 		g2, err := irtext.ParseString(s)
 		if err != nil {
 			t.Fatalf("round-trip parse failed: %v\nprinted form:\n%s", err, s)

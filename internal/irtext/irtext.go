@@ -30,32 +30,85 @@ import (
 
 // Print writes the graph in .ddg form.
 func Print(w io.Writer, g *ir.Graph) error {
+	_, err := io.WriteString(w, String(g))
+	return err
+}
+
+// String renders the graph in .ddg form. The builder is sized up front
+// and each line is rendered by ir.Instr.AppendText into a stack scratch,
+// so the returned string is the call's only allocation.
+func String(g *ir.Graph) string {
+	var b strings.Builder
+	b.Grow(textLen(g))
 	if g.Name != "" {
-		if _, err := fmt.Fprintf(w, "graph %s\n", g.Name); err != nil {
-			return err
-		}
+		b.WriteString("graph ")
+		b.WriteString(g.Name)
+		b.WriteByte('\n')
+	}
+	var scratch [128]byte
+	line := scratch[:0]
+	for _, in := range g.Instrs {
+		line = append(in.AppendText(line[:0]), '\n')
+		b.Write(line)
+	}
+	for _, e := range g.MemEdges() {
+		line = append(line[:0], "memedge "...)
+		line = strconv.AppendInt(line, int64(e[0]), 10)
+		line = append(line, ' ')
+		line = strconv.AppendInt(line, int64(e[1]), 10)
+		b.Write(append(line, '\n'))
+	}
+	return b.String()
+}
+
+// maxFloatLen is the length of the longest float64 in strconv's shortest
+// 'g' form, "-2.2250738585072014e-308".
+const maxFloatLen = 24
+
+// textLen returns the length of g's text, exactly but for float
+// immediates, which it counts at maxFloatLen.
+func textLen(g *ir.Graph) int {
+	n := 0
+	if g.Name != "" {
+		n += len("graph \n") + len(g.Name)
 	}
 	for _, in := range g.Instrs {
-		if _, err := fmt.Fprintln(w, in.String()); err != nil {
-			return err
+		n += decLen(int64(in.ID)) + len(": \n") + len(in.Op.String())
+		for _, a := range in.Args {
+			n += len(" %") + decLen(int64(a))
+		}
+		switch in.Op {
+		case ir.ConstInt:
+			n += 1 + decLen(in.Imm)
+		case ir.ConstFloat:
+			n += 1 + maxFloatLen
+		}
+		if in.Bank != ir.NoBank {
+			n += len(" bank=") + decLen(int64(in.Bank))
+		}
+		if in.Preplaced() {
+			n += len(" @home=") + decLen(int64(in.Home))
+		}
+		if in.Name != "" {
+			n += len(" ; ") + len(in.Name)
 		}
 	}
 	for _, e := range g.MemEdges() {
-		if _, err := fmt.Fprintf(w, "memedge %d %d\n", e[0], e[1]); err != nil {
-			return err
-		}
+		n += len("memedge  \n") + decLen(int64(e[0])) + decLen(int64(e[1]))
 	}
-	return nil
+	return n
 }
 
-// String renders the graph in .ddg form.
-func String(g *ir.Graph) string {
-	var b strings.Builder
-	if err := Print(&b, g); err != nil {
-		// strings.Builder never errors; keep the compiler honest.
-		panic(err)
+// decLen returns the length of v in decimal, sign included.
+func decLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
 	}
-	return b.String()
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
 }
 
 // ParseFile reads a .ddg graph from a file. Graphs without a "graph" header

@@ -835,8 +835,8 @@ func distToBin(s *core.State, bins [][]int, i, c int) int {
 	d := s.Distances(i)
 	best := math.MaxInt32
 	for _, b := range bins[c] {
-		if d[b] >= 0 && d[b] < best {
-			best = d[b]
+		if d[b] >= 0 && int(d[b]) < best {
+			best = int(d[b])
 		}
 	}
 	return best
