@@ -7,11 +7,13 @@ package ir_test
 // ones the chaos suite uses to lie to schedulers) plus direct field edits.
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/faultinject"
 	"repro/internal/ir"
+	"repro/internal/ir/irtest"
 )
 
 // corpus returns a varied set of graphs: real kernels with memory edges and
@@ -57,6 +59,54 @@ func TestCanonicalHashInvariantUnderRenumbering(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCanonicalMatchesReference: the key-sorted order and single-buffer
+// hash must equal the comparator-sorted reference, on every corpus graph
+// under random topological renumberings (which move the ID tie-break), on
+// the Figure 10 sizes, and on the empty, one-instruction and all-tied
+// graphs.
+func TestCanonicalMatchesReference(t *testing.T) {
+	check := func(label string, g *ir.Graph) {
+		t.Helper()
+		want := irtest.RefCanonical(g)
+		got := g.Canonical()
+		if got.Hash != want.Hash {
+			t.Errorf("%s: hash %s, reference %s", label, got.Hash, want.Hash)
+		}
+		if !slices.Equal(got.Order, want.Order) {
+			t.Errorf("%s: order differs from the reference", label)
+		}
+	}
+	graphs := corpus(t)
+	for _, n := range []int{1000, 2000} {
+		graphs = append(graphs, bench.RandomLayered(n, n/12+4, 4, 1))
+	}
+	for _, g := range graphs {
+		check(g.Name, g)
+		for seed := int64(1); seed <= 4; seed++ {
+			rg, err := ir.Renumber(g, ir.RandomRenumbering(g, seed))
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", g.Name, seed, err)
+			}
+			check(g.Name+"/renumbered", rg)
+		}
+	}
+	check("empty", ir.New("empty"))
+	one := ir.New("one")
+	one.AddConst(3)
+	check("one", one)
+	tied := ir.New("tied")
+	for i := 0; i < 300; i++ {
+		tied.AddConst(0)
+	}
+	check("tied", tied)
+	pairs := ir.New("pairs")
+	for i := 0; i < 50; i++ {
+		a := pairs.AddConst(int64(i % 3))
+		pairs.Add(ir.Neg, a.ID)
+	}
+	check("pairs", pairs)
 }
 
 func TestCanonicalOrderIsPermutation(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package irtest holds the map-based adjacency builder that ir.Graph's
-// dense Seal replaced. It is the reference side of the seal differential
-// tests in internal/ir and of FuzzParse in internal/irtext, and nothing
-// outside tests imports it.
+// dense Seal replaced and the comparator-sorted canonical identity that
+// ir.Graph.Canonical replaced. They are the reference side of the seal and
+// canonical differential tests in internal/ir and of FuzzParse in
+// internal/irtext, and nothing outside tests imports them.
 package irtest
 
 import (
