@@ -1,7 +1,7 @@
 // Package repro's root benchmarks time the scheduler: the Table 1 pass
 // sequences, the Fig. 10 compile-time scaling, and the hot paths (list
-// scheduler, preference map, simulator, gate, parse and seal, graph text,
-// engine, a warm service hit).
+// scheduler, preference map, simulator, gate, parse and seal, canonical
+// identity, graph text, engine, a warm service hit).
 //
 // The paper's tables and figures, and the design-choice ablations, are
 // regenerated by cmd/experiments (go run ./cmd/experiments -exp table2,
@@ -279,6 +279,38 @@ func BenchmarkParseSeal(b *testing.B) {
 					b.Fatal(err)
 				}
 				g.Seal()
+			}
+		})
+	}
+}
+
+// BenchmarkCanonical isolates the canonical identity every request pays for
+// at each tier: refinement, canonical order and hash, on a sealed graph.
+// The identity is cached per graph, so each timed call gets a fresh sealed
+// clone, made with the timer stopped.
+func BenchmarkCanonical(b *testing.B) {
+	k, _ := bench.ByName("cholesky")
+	cases := []struct {
+		name string
+		g    *ir.Graph
+	}{
+		{"cholesky/raw16", k.Build(16)},
+		{"random2000/vliw4", bench.RandomLayered(2000, 2000/12+4, 4, exp.Seed)},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			fresh := make([]*ir.Graph, 32)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%len(fresh) == 0 {
+					b.StopTimer()
+					for j := range fresh {
+						fresh[j] = c.g.Clone()
+						fresh[j].Seal()
+					}
+					b.StartTimer()
+				}
+				fresh[i%len(fresh)].Canonical()
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -221,6 +221,7 @@ func (g *Gateway) Handler() http.Handler { return g.mux }
 type latWindow struct {
 	mu  sync.Mutex
 	buf []time.Duration
+	tmp []time.Duration // p95's sort scratch, reused by every call
 	n   int
 	i   int
 }
@@ -245,10 +246,9 @@ func (w *latWindow) p95() (time.Duration, bool) {
 	if w.n < 32 {
 		return 0, false
 	}
-	tmp := make([]time.Duration, w.n)
-	copy(tmp, w.buf[:w.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	return tmp[(len(tmp)*95)/100], true
+	w.tmp = append(w.tmp[:0], w.buf[:w.n]...)
+	slices.Sort(w.tmp)
+	return w.tmp[(len(w.tmp)*95)/100], true
 }
 
 // hedgeBudget is how long the primary attempt gets before a hedge fires.

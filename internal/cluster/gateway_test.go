@@ -9,10 +9,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -404,5 +406,36 @@ func TestGatewayDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), "draining") {
 		t.Errorf("post-drain request: %d: %s", resp.StatusCode, body)
+	}
+}
+
+// refP95 is the hedge budget's percentile as it was first written: a fresh
+// copy of the filled window, sorted with sort.Slice.
+func refP95(w *latWindow) (time.Duration, bool) {
+	if w.n < 32 {
+		return 0, false
+	}
+	tmp := make([]time.Duration, w.n)
+	copy(tmp, w.buf[:w.n])
+	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	return tmp[(len(tmp)*95)/100], true
+}
+
+// TestLatWindowP95MatchesReference: reusing the window's scratch slice
+// gives the reference percentile below 32 samples, while the window fills
+// and after it wraps around, and allocates nothing once the scratch exists.
+func TestLatWindowP95MatchesReference(t *testing.T) {
+	w := newLatWindow(512)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3*512+17; i++ {
+		w.add(time.Duration(rng.Intn(200)) * time.Microsecond)
+		got, gotOK := w.p95()
+		want, wantOK := refP95(w)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("after %d samples: p95 %v,%v, reference %v,%v", i+1, got, gotOK, want, wantOK)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, func() { w.p95() }); allocs != 0 {
+		t.Fatalf("p95 allocates %.0f times per call", allocs)
 	}
 }

@@ -20,6 +20,11 @@ type Graph struct {
 
 	memEdges [][2]int // (from, to) ordering edges between memory ops
 
+	// Add carves instructions and their operand lists from these chunk
+	// tails instead of allocating each one; see Add.
+	instrSlab []Instr
+	argSlab   []int
+
 	sealed    bool
 	sealOnce  sync.Once
 	preds     [][]int // deduplicated data+memory predecessors
@@ -40,7 +45,10 @@ func New(name string) *Graph {
 func (g *Graph) Len() int { return len(g.Instrs) }
 
 // Add appends an instruction with the given opcode and operand producers and
-// returns it. Add panics if the graph is sealed, an argument ID is out of
+// returns it. Instructions and operand lists are carved from chunked backing
+// arrays owned by the graph, so building a graph costs a few allocations
+// rather than two per instruction; the returned pointer stays valid for the
+// graph's lifetime. Add panics if the graph is sealed, an argument ID is out of
 // range or not yet defined (which would create a cycle), or the operand
 // count does not match the opcode arity.
 func (g *Graph) Add(op Op, args ...int) *Instr {
@@ -59,10 +67,35 @@ func (g *Graph) Add(op Op, args ...int) *Instr {
 			panic(fmt.Sprintf("ir: instruction %d consumes %%%d (%v), which produces no value", id, a, g.Instrs[a].Op))
 		}
 	}
-	in := &Instr{ID: id, Op: op, Args: append([]int(nil), args...), Bank: NoBank, Home: NoHome}
+	if len(g.instrSlab) == 0 {
+		g.instrSlab = make([]Instr, slabChunk(id, minInstrChunk, maxInstrChunk))
+	}
+	in := &g.instrSlab[0]
+	g.instrSlab = g.instrSlab[1:]
+	*in = Instr{ID: id, Op: op, Bank: NoBank, Home: NoHome}
+	if len(args) > 0 {
+		if len(g.argSlab) < len(args) {
+			g.argSlab = make([]int, max(len(args), slabChunk(2*id, minArgChunk, maxArgChunk)))
+		}
+		// Capped to its own length, so an append to one instruction's
+		// operands reallocates instead of overwriting its neighbour's.
+		in.Args = g.argSlab[:len(args):len(args)]
+		copy(in.Args, args)
+		g.argSlab = g.argSlab[len(args):]
+	}
 	g.Instrs = append(g.Instrs, in)
 	return in
 }
+
+// Chunk bounds for Add's slabs. A new chunk is as large as what the graph
+// already holds, clamped to these bounds, so the unused tail of the last
+// chunk never exceeds half the graph or one maximal chunk.
+const (
+	minInstrChunk, maxInstrChunk = 16, 1024
+	minArgChunk, maxArgChunk     = 32, 2048
+)
+
+func slabChunk(have, lo, hi int) int { return min(max(have, lo), hi) }
 
 // AddConst appends a ConstInt instruction with the given immediate.
 func (g *Graph) AddConst(v int64) *Instr {
@@ -343,10 +376,24 @@ func (g *Graph) Preplaced() []int {
 func (g *Graph) Clone() *Graph {
 	out := New(g.Name)
 	out.Instrs = make([]*Instr, len(g.Instrs))
+	// One exactly sized slab each for the instructions and their operands;
+	// every Args is capped to its own length as in Add.
+	instrs := make([]Instr, len(g.Instrs))
+	nargs := 0
+	for _, in := range g.Instrs {
+		nargs += len(in.Args)
+	}
+	args := make([]int, nargs)
 	for i, in := range g.Instrs {
-		cp := *in
-		cp.Args = append([]int(nil), in.Args...)
-		out.Instrs[i] = &cp
+		cp := &instrs[i]
+		*cp = *in
+		cp.Args = nil
+		if len(in.Args) > 0 {
+			cp.Args = args[:len(in.Args):len(in.Args)]
+			copy(cp.Args, in.Args)
+			args = args[len(in.Args):]
+		}
+		out.Instrs[i] = cp
 	}
 	out.memEdges = append([][2]int(nil), g.memEdges...)
 	return out

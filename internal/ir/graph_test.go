@@ -311,3 +311,64 @@ func TestEmptyGraphAnalyses(t *testing.T) {
 		t.Error("empty CPL != 0")
 	}
 }
+
+// TestSlabArgsDoNotAlias: Add carves every operand list from one chunk,
+// capped to its own length, so growing or rewriting one instruction's Args
+// (as the fault-injection mutators do on clones) leaves its neighbours'
+// operands alone, in the graph and in its clone.
+func TestSlabArgsDoNotAlias(t *testing.T) {
+	g := New("slab")
+	a := g.AddConst(1)
+	b := g.AddConst(2)
+	x := g.Add(Add, a.ID, b.ID)
+	y := g.Add(Sub, b.ID, a.ID)
+	z := g.Add(Mul, x.ID, y.ID)
+	if cap(x.Args) != len(x.Args) {
+		t.Fatalf("Args cap %d, want its length %d", cap(x.Args), len(x.Args))
+	}
+	x.Args = append(x.Args, z.ID)
+	if y.Args[0] != b.ID || y.Args[1] != a.ID {
+		t.Fatalf("append to one Args overwrote its neighbour: %v", y.Args)
+	}
+	c := g.Clone()
+	c.Instrs[3].Args = append(c.Instrs[3].Args, 4)
+	c.Instrs[2].Args[0] = b.ID
+	if got := c.Instrs[4].Args; got[0] != x.ID || got[1] != y.ID {
+		t.Fatalf("clone: mutating Args overwrote a neighbour: %v", got)
+	}
+	if x.Args[0] != a.ID || y.Args[0] != b.ID || len(y.Args) != 2 {
+		t.Fatalf("clone shares operands with its source: %v %v", x.Args, y.Args)
+	}
+	if g.Instrs[0].Args != nil || c.Instrs[0].Args != nil {
+		t.Fatal("an instruction without operands got a non-nil Args")
+	}
+}
+
+// TestSlabKeepsInstrPointersStable builds a graph over several slab chunks
+// and checks that every pointer Add returned is still the graph's
+// instruction, with its own fields and operands.
+func TestSlabKeepsInstrPointersStable(t *testing.T) {
+	g := New("long")
+	const n = 3*maxInstrChunk + 7
+	got := make([]*Instr, 0, n)
+	got = append(got, g.AddConst(0))
+	for i := 1; i < n; i++ {
+		in := g.Add(Add, i-1, i/2)
+		in.Name = strings.Repeat("x", i%3)
+		got = append(got, in)
+	}
+	for i, in := range got {
+		if g.Instrs[i] != in {
+			t.Fatalf("instruction %d moved", i)
+		}
+		if in.ID != i || in.Name != strings.Repeat("x", i%3) {
+			t.Fatalf("instruction %d reads ID %d name %q", i, in.ID, in.Name)
+		}
+		if i > 0 && (len(in.Args) != 2 || in.Args[0] != i-1 || in.Args[1] != i/2) {
+			t.Fatalf("instruction %d has operands %v", i, in.Args)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}

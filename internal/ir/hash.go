@@ -88,14 +88,20 @@ func (g *Graph) Canonical() Canonical {
 func (g *Graph) computeCanonical() Canonical {
 	n := len(g.Instrs)
 
-	memPreds := make([][]int, n)
-	memSuccs := make([][]int, n)
-	for _, e := range g.memEdges {
-		memPreds[e[1]] = append(memPreds[e[1]], e[0])
-		memSuccs[e[0]] = append(memSuccs[e[0]], e[1])
+	// Memory-order neighbours per instruction; nil for a graph without
+	// memory edges, which needs no lists at all.
+	var memPreds, memSuccs [][]int
+	if len(g.memEdges) > 0 {
+		memPreds, memSuccs = make([][]int, n), make([][]int, n)
+		for _, e := range g.memEdges {
+			memPreds[e[1]] = append(memPreds[e[1]], e[0])
+			memSuccs[e[0]] = append(memSuccs[e[0]], e[1])
+		}
 	}
 
-	up := make([]uint64, n)
+	// up and down share one backing array.
+	hashes := make([]uint64, 2*n)
+	up, down := hashes[:n:n], hashes[n:]
 	for i, in := range g.Instrs {
 		h := fold(upSeed, uint64(in.Op))
 		h = fold(h, uint64(in.Imm))
@@ -107,13 +113,14 @@ func (g *Graph) computeCanonical() Canonical {
 			h = fold(h, up[a])
 		}
 		var mp uint64
-		for _, p := range memPreds[i] {
-			mp += hmix(up[p] ^ memTag) // commutative: predecessor order is not semantic
+		if memPreds != nil {
+			for _, p := range memPreds[i] {
+				mp += hmix(up[p] ^ memTag) // commutative: predecessor order is not semantic
+			}
 		}
 		up[i] = fold(h, mp)
 	}
 
-	down := make([]uint64, n)
 	for i := n - 1; i >= 0; i-- {
 		d := uint64(leafTag)
 		for _, s := range g.succs[i] {
@@ -123,49 +130,90 @@ func (g *Graph) computeCanonical() Canonical {
 				}
 			}
 		}
-		for _, s := range memSuccs[i] {
-			d += hmix(fold(fold(memTag, down[s]), up[s]))
+		if memSuccs != nil {
+			for _, s := range memSuccs[i] {
+				d += hmix(fold(fold(memTag, down[s]), up[s]))
+			}
 		}
 		down[i] = hmix(d)
 	}
 
-	final := make([]uint64, n)
-	for i := range final {
-		final[i] = fold(fold(finalTag, up[i]), down[i])
+	// The sort's key array, twice n long, holds the final hashes.
+	both := make([]canonKey, 2*n)
+	for i := range n {
+		both[i] = canonKey{fold(fold(finalTag, up[i]), down[i]), i}
 	}
+	keys := canonicalSort(both, up)
 
-	// Canonical order: sort by the refined hashes; the original ID is only
-	// the last-resort tie-break among indistinguishable instructions.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	slices.SortFunc(idx, func(ia, ib int) int {
-		if c := cmp.Compare(final[ia], final[ib]); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(up[ia], up[ib]); c != 0 {
-			return c
-		}
-		return cmp.Compare(ia, ib)
-	})
+	// The hash input is n, then every final hash in canonical order, in one
+	// buffer.
 	order := make([]int, n)
-	for rank, i := range idx {
-		order[i] = rank
+	buf := make([]byte, 8*(n+1))
+	binary.LittleEndian.PutUint64(buf, uint64(n))
+	for rank, k := range keys {
+		order[k.id] = rank
+		binary.LittleEndian.PutUint64(buf[8*(rank+1):], k.final)
 	}
+	return Canonical{Hash: sha256.Sum256(buf), Order: order}
+}
 
-	hasher := sha256.New()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	hasher.Write(buf[:])
-	for _, i := range idx {
-		binary.LittleEndian.PutUint64(buf[:], final[i])
-		hasher.Write(buf[:])
+// canonKey is one instruction's sort key: its final hash and its ID.
+type canonKey struct {
+	final uint64
+	id    int
+}
+
+// canonicalSort puts the keys in the first half of both, in ID order,
+// into canonical order and returns them; the second half is scratch. The
+// order is by final hash, then by up hash, then by ID, the last-resort
+// tie-break among indistinguishable instructions. A least-significant-digit
+// radix sort, one byte per pass over contiguous (final, ID) pairs, orders
+// the keys by the high 32 bits of final. It is stable and starts in ID
+// order, so only the rare runs that share those bits need a second sort,
+// by the whole final hash and then the up hash.
+func canonicalSort(both []canonKey, up []uint64) []canonKey {
+	n := len(both) / 2
+	src, dst := both[:n:n], both[n:]
+	var counts [4][256]int32
+	for _, k := range src {
+		for d := range counts {
+			counts[d][byte(k.final>>(32+8*d))]++
+		}
 	}
-	var c Canonical
-	hasher.Sum(c.Hash[:0])
-	c.Order = order
-	return c
+	for d := range counts {
+		c := &counts[d]
+		shift := 32 + 8*d
+		if n == 0 || int(c[byte(src[0].final>>shift)]) == n {
+			continue // every key has the same digit here
+		}
+		var off int32
+		for b, cnt := range c {
+			c[b] = off
+			off += cnt
+		}
+		for _, k := range src {
+			b := byte(k.final >> shift)
+			dst[c[b]] = k
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	for lo := 0; lo < n; {
+		hi := lo + 1
+		for hi < n && src[hi].final>>32 == src[lo].final>>32 {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortStableFunc(src[lo:hi], func(a, b canonKey) int {
+				if c := cmp.Compare(a.final, b.final); c != 0 {
+					return c
+				}
+				return cmp.Compare(up[a.id], up[b.id])
+			})
+		}
+		lo = hi
+	}
+	return src
 }
 
 // CanonicalHash is Canonical().Hash for callers that do not need the order.

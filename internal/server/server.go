@@ -768,7 +768,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	resp.PeerHit = peerHit
 	resp.Tenant, resp.Class = req.tenant, req.class
 	resp.Trace = tr.Snapshot()
-	writeJSON(w, http.StatusOK, resp)
+	writeSchedule(w, &resp)
 }
 
 // writeScheduleError maps an engine failure onto a status code and a
@@ -820,8 +820,11 @@ func buildResponse(machineName, graphName string, res engine.Result, total time.
 	for i, p := range res.Schedule.Placements {
 		resp.Placements[i] = placementJSON{Cluster: p.Cluster, FU: p.FU, Start: p.Start, Latency: p.Latency}
 	}
-	for _, c := range res.Schedule.Comms {
-		resp.CommList = append(resp.CommList, commJSON{Value: c.Value, From: c.From, To: c.To, Depart: c.Depart, Arrive: c.Arrive})
+	if len(res.Schedule.Comms) > 0 {
+		resp.CommList = make([]commJSON, len(res.Schedule.Comms))
+		for i, c := range res.Schedule.Comms {
+			resp.CommList[i] = commJSON{Value: c.Value, From: c.From, To: c.To, Depart: c.Depart, Arrive: c.Arrive}
+		}
 	}
 	if res.Report != nil {
 		resp.Attempts = attemptsJSON(res.Report)
