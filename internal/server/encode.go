@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 )
 
@@ -23,20 +22,29 @@ import (
 func writeSchedule(w http.ResponseWriter, resp *scheduleResponse) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	bp := bodyPool.Get().(*[]byte)
-	b, err := appendScheduleResponse((*bp)[:0], resp)
+	var b []byte
+	select {
+	case b = <-bodyBufs:
+	default:
+	}
+	b, err := appendScheduleResponse(b, resp)
 	if err == nil {
 		_, _ = w.Write(b)
 	}
 	if cap(b) <= MaxBodyBytes {
-		*bp = b[:0]
-		bodyPool.Put(bp)
+		select {
+		case bodyBufs <- b[:0]:
+		default:
+		}
 	}
 }
 
-// bodyPool recycles response buffers; one larger than MaxBodyBytes is
-// dropped rather than kept.
-var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+// bodyBufs is a small free list of response buffers. Unlike a sync.Pool,
+// it survives garbage collections, which a busy shard runs every few
+// requests, so a buffer grows to the largest body once rather than after
+// every cycle. A buffer larger than MaxBodyBytes is dropped rather than
+// kept.
+var bodyBufs = make(chan []byte, 4)
 
 // appendScheduleResponse appends r's JSON encoding and a newline to b.
 func appendScheduleResponse(b []byte, r *scheduleResponse) ([]byte, error) {
