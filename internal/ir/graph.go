@@ -89,9 +89,12 @@ func (g *Graph) Add(op Op, args ...int) *Instr {
 
 // Chunk bounds for Add's slabs. A new chunk is as large as what the graph
 // already holds, clamped to these bounds, so the unused tail of the last
-// chunk never exceeds half the graph or one maximal chunk.
+// chunk never exceeds half the graph or one maximal chunk. The largest
+// chunks (22 KB of instructions, 16 KB of operands) stay below the
+// runtime's 32 KB large-object size; 1024-instruction chunks cost the warm
+// service benchmark about a megabyte more resident memory.
 const (
-	minInstrChunk, maxInstrChunk = 16, 1024
+	minInstrChunk, maxInstrChunk = 16, 256
 	minArgChunk, maxArgChunk     = 32, 2048
 )
 

@@ -18,33 +18,30 @@ import (
 // records keep writeJSON.
 
 // writeSchedule writes resp as the 200 /schedule body. Like writeJSON, it
-// writes no body if resp cannot be encoded.
-func writeSchedule(w http.ResponseWriter, resp *scheduleResponse) {
+// writes no body if resp cannot be encoded. The buffer comes from the
+// server's free list, which, unlike a sync.Pool, survives the garbage
+// collections a busy shard runs every few requests, so a buffer grows to
+// the largest body once. A buffer larger than MaxBodyBytes is dropped
+// rather than kept.
+func (s *Server) writeSchedule(w http.ResponseWriter, resp *scheduleResponse) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	var b []byte
 	select {
-	case b = <-bodyBufs:
+	case b = <-s.bodies:
 	default:
 	}
 	b, err := appendScheduleResponse(b, resp)
 	if err == nil {
-		_, _ = w.Write(b)
+		_, _ = w.Write(b) // a failed write means the client is gone
 	}
 	if cap(b) <= MaxBodyBytes {
 		select {
-		case bodyBufs <- b[:0]:
+		case s.bodies <- b[:0]:
 		default:
 		}
 	}
 }
-
-// bodyBufs is a small free list of response buffers. Unlike a sync.Pool,
-// it survives garbage collections, which a busy shard runs every few
-// requests, so a buffer grows to the largest body once rather than after
-// every cycle. A buffer larger than MaxBodyBytes is dropped rather than
-// kept.
-var bodyBufs = make(chan []byte, 4)
 
 // appendScheduleResponse appends r's JSON encoding and a newline to b.
 func appendScheduleResponse(b []byte, r *scheduleResponse) ([]byte, error) {

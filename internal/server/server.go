@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -145,6 +146,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	machines map[string]machineEntry // name -> model + breaker scope
+
+	// bodies is the free list of /schedule response buffers (encode.go).
+	bodies chan []byte
 }
 
 type machineEntry struct {
@@ -181,6 +185,9 @@ func New(cfg Config) *Server {
 		start:        time.Now(),
 		machines:     make(map[string]machineEntry),
 		recoveryDone: make(chan struct{}),
+		// Encoding is CPU-bound and never blocks, so no more encodes run
+		// at once than there are Ps to run them.
+		bodies: make(chan []byte, runtime.GOMAXPROCS(0)),
 	}
 	if cfg.StoreDir == "" {
 		// Nothing to replay: ready the moment the listener is up.
@@ -768,7 +775,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	resp.PeerHit = peerHit
 	resp.Tenant, resp.Class = req.tenant, req.class
 	resp.Trace = tr.Snapshot()
-	writeSchedule(w, &resp)
+	s.writeSchedule(w, &resp)
 }
 
 // writeScheduleError maps an engine failure onto a status code and a
