@@ -351,6 +351,9 @@ const ShardHeader = "X-Schedd-Shard"
 
 // scheduleResponse is the 200 body: enough to reconstruct and re-validate
 // the full schedule client-side (placements are indexed by instruction id).
+// appendScheduleResponse (encode.go) writes it by hand, field for field as
+// encoding/json would, so a field added here must be added there too; the
+// encoder's table test and fuzz target compare the two.
 type scheduleResponse struct {
 	Graph      string          `json:"graph"`
 	Machine    string          `json:"machine"`
