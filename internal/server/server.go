@@ -185,8 +185,9 @@ func New(cfg Config) *Server {
 		start:        time.Now(),
 		machines:     make(map[string]machineEntry),
 		recoveryDone: make(chan struct{}),
-		// Encoding is CPU-bound and never blocks, so no more encodes run
-		// at once than there are Ps to run them.
+		// One buffer per P: encoding is CPU-bound, so no more buffers are
+		// in use at once except while slow clients are written to; then
+		// an empty list allocates and a full one drops the extra buffer.
 		bodies: make(chan []byte, runtime.GOMAXPROCS(0)),
 	}
 	if cfg.StoreDir == "" {
