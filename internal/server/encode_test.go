@@ -82,8 +82,9 @@ func TestScheduleResponseMatchesEncodingJSON(t *testing.T) {
 	}{{"raw4", 4}, {"raw16", 16}, {"vliw4", 4}} {
 		for _, k := range bench.All() {
 			ddg := irtext.String(k.Build(mach.clusters))
-			for _, traced := range []bool{false, true} {
-				query := fmt.Sprintf("machine=%s&seed=%d", mach.name, map[bool]int{false: 1, true: 2}[traced])
+			// A seed per trace setting, so each gets its own miss.
+			for seed, traced := range []bool{false, true} {
+				query := fmt.Sprintf("machine=%s&seed=%d", mach.name, seed+1)
 				for _, pass := range []string{"miss", "hit"} {
 					resp := scheduled(t, s, query, ddg, traced)
 					if resp.CacheHit != (pass == "hit") {
