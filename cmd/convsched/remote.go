@@ -14,13 +14,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"net/url"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -195,13 +194,6 @@ func retryable503(kind string) bool {
 	return false
 }
 
-// retryRand guards the shared jitter source: http retries can run from
-// concurrent batch goroutines and math/rand.Rand is not concurrency-safe.
-var (
-	retryRandMu sync.Mutex
-	retryRand   = rand.New(rand.NewSource(time.Now().UnixNano()))
-)
-
 // retryAfter turns a Retry-After header (integer seconds) into a wait, with
 // a linear-backoff fallback when the header is absent or unparseable. The
 // wait is jittered to [base/2, base]: a server shedding under overload
@@ -209,14 +201,6 @@ var (
 // verbatim re-saturates admission in lockstep on the next tick — the
 // classic synchronized retry storm.
 func retryAfter(header string, attempt int) time.Duration {
-	retryRandMu.Lock()
-	defer retryRandMu.Unlock()
-	return jitteredRetry(header, attempt, retryRand)
-}
-
-// jitteredRetry is retryAfter with an injectable randomness source so tests
-// can pin the jitter bounds deterministically.
-func jitteredRetry(header string, attempt int, rng *rand.Rand) time.Duration {
 	base := time.Duration(attempt) * 50 * time.Millisecond
 	if s, err := strconv.Atoi(header); err == nil && s >= 0 {
 		base = time.Duration(s) * time.Second
@@ -227,7 +211,7 @@ func jitteredRetry(header string, attempt int, rng *rand.Rand) time.Duration {
 			base = 2 * time.Second
 		}
 	}
-	// Full-jitter over the upper half: wait = base/2 + uniform(0, base/2].
+	// Full-jitter over the upper half: wait = base/2 + uniform[0, base/2].
 	half := base / 2
-	return half + time.Duration(rng.Int63n(int64(half)+1))
+	return half + rand.N(half+1)
 }

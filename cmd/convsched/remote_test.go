@@ -1,7 +1,6 @@
 package main
 
 import (
-	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -130,7 +129,6 @@ func TestRunRemoteSelectorNames(t *testing.T) {
 // [base/2, base] — never the verbatim hint — so shed clients desynchronize
 // instead of re-saturating admission in lockstep.
 func TestJitteredRetryBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	cases := []struct {
 		header  string
 		attempt int
@@ -146,15 +144,15 @@ func TestJitteredRetryBounds(t *testing.T) {
 	for _, tc := range cases {
 		distinct := map[time.Duration]bool{}
 		for i := 0; i < 200; i++ {
-			d := jitteredRetry(tc.header, tc.attempt, rng)
+			d := retryAfter(tc.header, tc.attempt)
 			if d < tc.base/2 || d > tc.base {
-				t.Fatalf("jitteredRetry(%q, %d) = %v, want in [%v, %v]",
+				t.Fatalf("retryAfter(%q, %d) = %v, want in [%v, %v]",
 					tc.header, tc.attempt, d, tc.base/2, tc.base)
 			}
 			distinct[d] = true
 		}
 		if len(distinct) < 20 {
-			t.Errorf("jitteredRetry(%q, %d): only %d distinct waits in 200 draws — not jittered",
+			t.Errorf("retryAfter(%q, %d): only %d distinct waits in 200 draws — not jittered",
 				tc.header, tc.attempt, len(distinct))
 		}
 	}

@@ -153,7 +153,7 @@ func main() {
 	flag.IntVar(&o.workers, "j", 0, "max concurrently scheduling requests (0 = queue bound)")
 	flag.Float64Var(&o.rate, "rate", 0, "token-bucket admission rate per second (0 = unlimited)")
 	flag.IntVar(&o.burst, "burst", 0, "token-bucket burst (0 = 2x rate)")
-	flag.IntVar(&o.cacheSize, "cache-size", 256, "schedule-cache entries (negative disables memoization)")
+	flag.IntVar(&o.cacheSize, "cache-size", 256, "schedule-cache entries (0 = 256, negative disables memoization)")
 	flag.DurationVar(&o.timeout, "timeout", 2*time.Second, "default per-attempt rung budget when the request sets no deadline")
 	flag.DurationVar(&o.drain, "drain", 10*time.Second, "graceful-shutdown budget for in-flight requests")
 	flag.Int64Var(&o.seed, "seed", 2002, "default noise seed for the convergent scheduler")
@@ -272,8 +272,10 @@ func serve(o options, ln net.Listener, stop <-chan os.Signal, logger *log.Logger
 		return fmt.Errorf("store %s: %w", o.storeDir, err)
 	}
 	if o.storeDir != "" {
+		// The store compacts every cache-capacity appends; log the capacity
+		// the server settled on, not the flag (0 selects the default).
 		logger.Printf("persistent store at %s (snapshot every %d appends); recovering",
-			o.storeDir, o.cacheSize)
+			o.storeDir, s.StatsSnapshot().Engine.Capacity)
 	}
 
 	hs := &http.Server{Handler: s.Handler()}

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -192,10 +193,7 @@ func TestClusterChaos(t *testing.T) {
 		shards[i] = reserveShard(t, "")
 		names[i] = shards[i].name
 	}
-	probe := NewRing()
-	for _, n := range names {
-		probe.Add(n)
-	}
+	probe := NewRing(names...)
 	unit0, err := irtext.ParseString(units[0].ddg)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +368,7 @@ func TestClusterChaos(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	if alive := g.aliveCount(); alive != len(shards) {
+	if alive := g.StatsSnapshot().Alive; alive != len(shards) {
 		t.Errorf("%d of %d shards alive after the restart settled", alive, len(shards))
 	}
 }
@@ -408,10 +406,6 @@ func TestMembershipChurnChaos(t *testing.T) {
 		}
 		unitKeys[i] = KeyFor(g.CanonicalHash())
 	}
-	seedRing := NewRing()
-	for _, n := range names {
-		seedRing.Add(n)
-	}
 
 	// Pick a joiner that steals at least one unit key from the seed fleet, so
 	// the join itself changes ownership of live traffic. With only a handful
@@ -419,8 +413,7 @@ func TestMembershipChurnChaos(t *testing.T) {
 	var joiner *liveShard
 	for try := 0; try < 16 && joiner == nil; try++ {
 		cand := reserveShard(t, "cluster-k")
-		ring := seedRing.Clone()
-		ring.Add(cand.name)
+		ring := NewRing(append(slices.Clone(names), cand.name)...)
 		for _, k := range unitKeys {
 			if ring.Owners(k, 1)[0] == cand.name {
 				joiner = cand
@@ -434,8 +427,7 @@ func TestMembershipChurnChaos(t *testing.T) {
 	if joiner == nil {
 		t.Fatal("no candidate joiner steals a unit key; probe search too small")
 	}
-	postJoin := seedRing.Clone()
-	postJoin.Add(joiner.name)
+	postJoin := NewRing(append(slices.Clone(names), joiner.name)...)
 
 	// The graceful leaver: a seed shard owning at least one unit key on the
 	// post-join ring, so the leave moves live keyspace and the hot push has

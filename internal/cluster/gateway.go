@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net/http"
 	"slices"
 	"sync"
@@ -96,19 +96,12 @@ type Gateway struct {
 	lat      *latWindow
 	start    time.Time
 
-	// Live membership, all guarded by memMu. The ring, the shard list, and
-	// the epoch move together under one write lock so a routing decision
-	// never sees a half-applied membership change. prevRing is the ring as it
-	// was before the most recent change — the source of previous-owner peer
-	// hints. The ring-routing quorum is always a majority of order
-	// (quorumLocked).
-	memMu    sync.RWMutex
-	ring     *Ring
-	prevRing *Ring
-	order    []*shard // join order, for degraded round-robin
-	byName   map[string]*shard
-	bases    map[string]string // every name ever known -> base URL (departed shards included, for peer hints)
-	epoch    uint64
+	// fleet is the live membership: the epoch, ring and members as one
+	// immutable value. Every reader loads it once, so a routing decision or
+	// a /stats answer sees one whole fleet, never a half-applied change.
+	// adminMu serializes the joins and leaves that publish the next fleet.
+	fleet   atomic.Pointer[fleet]
+	adminMu sync.Mutex
 
 	draining atomic.Bool
 	inflight server.InflightGauge
@@ -132,9 +125,6 @@ type Gateway struct {
 	leaves        atomic.Uint64 // shards removed through the admin API
 	hotPushed     atomic.Uint64 // records pushed to new owners during graceful leaves
 	hotPushErrors atomic.Uint64 // rebalance pushes that failed or were refused
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // NewGateway validates cfg and builds the gateway. Start must be called
@@ -171,32 +161,26 @@ func NewGateway(cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:      cfg,
-		ring:     NewRing(),
 		breakers: robust.NewBreakerSet(cfg.Breakers),
-		byName:   make(map[string]*shard, len(cfg.Shards)),
-		bases:    make(map[string]string, len(cfg.Shards)),
 		mux:      http.NewServeMux(),
 		lat:      newLatWindow(512),
 		start:    time.Now(),
-		rng:      rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
+	members := make([]*shard, 0, len(cfg.Shards))
 	for _, raw := range cfg.Shards {
 		name, base, err := parseShardAddr(raw)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %v", err)
 		}
-		if _, dup := g.byName[name]; dup {
+		if slices.ContainsFunc(members, func(s *shard) bool { return s.name == name }) {
 			return nil, fmt.Errorf("cluster: shard %q listed twice", name)
 		}
-		s := &shard{name: name, base: base}
-		g.byName[name] = s
-		g.bases[name] = base
-		g.order = append(g.order, s)
-		g.ring.Add(name)
+		members = append(members, &shard{name: name, base: base})
 	}
+	g.fleet.Store(newFleet(0, members, nil))
 	g.client = &http.Client{Transport: cfg.Transport}
 	probeClient := &http.Client{Transport: cfg.Transport, Timeout: cfg.ProbeTimeout}
-	g.prober = newProber(g.order, g.breakers, probeClient, cfg.ProbeEvery)
+	g.prober = newProber(&g.fleet, g.breakers, probeClient, cfg.ProbeEvery)
 	g.metrics = newGwMetrics(g)
 	g.breakers.SetObserver(g.metrics.observeBreaker)
 	g.mux.HandleFunc("/schedule", g.handleSchedule)
@@ -264,11 +248,7 @@ func (g *Gateway) hedgeBudget() time.Duration {
 }
 
 // fullJitter returns uniform(0, d].
-func (g *Gateway) fullJitter(d time.Duration) time.Duration {
-	g.rngMu.Lock()
-	defer g.rngMu.Unlock()
-	return time.Duration(g.rng.Int63n(int64(d))) + 1
-}
+func fullJitter(d time.Duration) time.Duration { return rand.N(d) + 1 }
 
 // attempt is the outcome of one forwarded request.
 type attempt struct {
@@ -334,31 +314,24 @@ func (g *Gateway) forward(ctx context.Context, s *shard, query string, header ht
 
 // plan picks the candidate order for a key: ring-owner order normally, or
 // any-alive-shard rotation when the fleet is below quorum. The whole
-// decision runs under the membership read lock so a concurrent join/leave
-// can never show it a half-applied fleet.
+// decision reads one fleet, so a concurrent join/leave can never show it a
+// half-applied one.
 func (g *Gateway) plan(key uint64) (cands []*shard, degraded bool) {
-	g.memMu.RLock()
-	defer g.memMu.RUnlock()
-	alive := 0
-	for _, s := range g.order {
-		if s.alive.Load() {
-			alive++
-		}
-	}
-	if alive >= g.quorumLocked() {
-		names := g.ring.Owners(key, len(g.order))
+	f := g.fleet.Load()
+	if f.alive() >= f.quorum() {
+		names := f.ring.Owners(key, len(f.members))
 		cands = make([]*shard, 0, len(names))
 		for _, n := range names {
-			cands = append(cands, g.byName[n])
+			cands = append(cands, f.byName[n])
 		}
 		return cands, false
 	}
 	// Below quorum: cache affinity is a luxury; route to whoever is alive,
 	// rotating the start so the survivors share the load.
 	start := int(g.rr.Add(1))
-	n := len(g.order)
+	n := len(f.members)
 	for i := 0; i < n; i++ {
-		if s := g.order[(start+i)%n]; s.alive.Load() {
+		if s := f.members[(start+i)%n]; s.alive.Load() {
 			cands = append(cands, s)
 		}
 	}
@@ -488,7 +461,7 @@ func (g *Gateway) route(ctx context.Context, gate *atomic.Int32, key uint64, que
 				retryPasses++
 				g.retries.Add(1)
 				next = 0
-				retryCh = time.After(g.fullJitter(g.cfg.RetryBase << uint(retryPasses)))
+				retryCh = time.After(fullJitter(g.cfg.RetryBase << uint(retryPasses)))
 				continue
 			}
 			g.claim(gate)
@@ -629,7 +602,8 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // /schedule in degraded any-alive-shard mode, but an LB with a healthier
 // gateway available should prefer it over one routing blind.
 func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	alive, quorum := g.aliveCount(), g.quorumNow()
+	f := g.fleet.Load()
+	alive, quorum := f.alive(), f.quorum()
 	switch {
 	case g.draining.Load():
 		g.writeError(w, &gwError{code: http.StatusServiceUnavailable, kind: "draining",
@@ -644,16 +618,6 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain")
 		fmt.Fprintln(w, "ready")
 	}
-}
-
-func (g *Gateway) aliveCount() int {
-	n := 0
-	for _, s := range g.members() {
-		if s.alive.Load() {
-			n++
-		}
-	}
-	return n
 }
 
 // ShardStats is one backend's row in /stats.
@@ -710,9 +674,11 @@ type StatsResponse struct {
 	Breakers      []robust.BreakerStat `json:"breakers"`
 }
 
-// StatsSnapshot returns the gateway counters as served by /stats.
+// StatsSnapshot returns the gateway counters as served by /stats. The
+// quorum, alive count, membership and shard rows all describe one fleet.
 func (g *Gateway) StatsSnapshot() StatsResponse {
-	alive, quorum := g.aliveCount(), g.quorumNow()
+	f := g.fleet.Load()
+	alive, quorum := f.alive(), f.quorum()
 	st := StatsResponse{
 		UptimeSec:        time.Since(g.start).Seconds(),
 		Ready:            !g.draining.Load() && alive >= quorum && alive > 0,
@@ -732,7 +698,7 @@ func (g *Gateway) StatsSnapshot() StatsResponse {
 		BadRequests:      g.badRequests.Load(),
 		DoubleDeliveries: g.doubleDeliveries.Load(),
 		LateResults:      g.lateResults.Load(),
-		Membership:       g.Membership(),
+		Membership:       f.membership(g.cfg.AdminKey),
 		Joins:            g.joins.Load(),
 		Leaves:           g.leaves.Load(),
 		PeerHints:        g.peerHints.Load(),
@@ -741,7 +707,7 @@ func (g *Gateway) StatsSnapshot() StatsResponse {
 		HedgeBudgetMs:    float64(g.hedgeBudget().Microseconds()) / 1000,
 		Breakers:         g.breakers.Snapshot(),
 	}
-	for _, s := range g.members() {
+	for _, s := range f.members {
 		s.mu.Lock()
 		lastErr := s.lastErr
 		s.mu.Unlock()

@@ -35,6 +35,7 @@ type fakeShard struct {
 	status  atomic.Int64 // /schedule status (default 200)
 	ready   atomic.Bool
 	hits    atomic.Int64 // /schedule attempts received
+	probes  atomic.Int64 // /readyz requests received
 	cancels atomic.Int64 // attempts whose context died mid-delay (hedge losers)
 }
 
@@ -44,6 +45,7 @@ func newFakeShard(t *testing.T) *fakeShard {
 	f.ready.Store(true)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		f.probes.Add(1)
 		if !f.ready.Load() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
@@ -94,7 +96,7 @@ func primaryFor(t *testing.T, g *Gateway, ddg string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.ring.Owners(KeyFor(gr.CanonicalHash()), 1)[0]
+	return g.fleet.Load().ring.Owners(KeyFor(gr.CanonicalHash()), 1)[0]
 }
 
 func newTestGateway(t *testing.T, cfg Config) *Gateway {
@@ -353,7 +355,7 @@ func TestQuorumDegradedRouting(t *testing.T) {
 	// Nothing alive at all: structured 503, and /readyz agrees.
 	alive.ready.Store(false)
 	deadline := time.Now().Add(2 * time.Second)
-	for g.aliveCount() != 0 {
+	for g.StatsSnapshot().Alive != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("prober never noticed the last shard going away")
 		}

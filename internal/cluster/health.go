@@ -60,9 +60,7 @@ func (s *shard) setProbe(err error, at time.Time) {
 // its cooldown expiring, and a shard that answers /readyz but fails real
 // requests stays tripped.
 type prober struct {
-	mu     sync.Mutex
-	shards []*shard // live membership; add/remove mutate under mu
-
+	fleet    *atomic.Pointer[fleet] // the gateway's membership; each sweep probes its members
 	breakers *robust.BreakerSet
 	client   *http.Client
 	every    time.Duration
@@ -70,45 +68,15 @@ type prober struct {
 	done     chan struct{}
 }
 
-func newProber(shards []*shard, breakers *robust.BreakerSet, client *http.Client, every time.Duration) *prober {
+func newProber(fleet *atomic.Pointer[fleet], breakers *robust.BreakerSet, client *http.Client, every time.Duration) *prober {
 	return &prober{
-		shards:   append([]*shard(nil), shards...),
+		fleet:    fleet,
 		breakers: breakers,
 		client:   client,
 		every:    every,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-}
-
-// add inserts a joining shard into the probe set and probes it synchronously
-// once, so its liveness verdict exists before the ring routes to it.
-func (p *prober) add(s *shard) {
-	p.mu.Lock()
-	p.shards = append(p.shards, s)
-	p.mu.Unlock()
-	p.probeOne(s)
-}
-
-// remove drops a departed shard from the probe set; its in-flight probe (if
-// any) finishes harmlessly against a shard no ring decision can pick.
-func (p *prober) remove(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	kept := p.shards[:0]
-	for _, s := range p.shards {
-		if s.name != name {
-			kept = append(kept, s)
-		}
-	}
-	p.shards = kept
-}
-
-// snapshot returns the current probe set.
-func (p *prober) snapshot() []*shard {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]*shard(nil), p.shards...)
 }
 
 // start launches the probe loop; probeAll runs once synchronously first so
@@ -139,11 +107,12 @@ func (p *prober) close() {
 	<-p.done
 }
 
-// probeAll probes every shard concurrently; one stuck shard must not delay
-// the verdict on the others.
+// probeAll probes every member of the current fleet concurrently; one stuck
+// shard must not delay the verdict on the others. A shard that leaves during
+// the sweep may take one last probe, which no routing decision reads.
 func (p *prober) probeAll() {
 	var wg sync.WaitGroup
-	for _, s := range p.snapshot() {
+	for _, s := range p.fleet.Load().members {
 		wg.Add(1)
 		go func(s *shard) {
 			defer wg.Done()

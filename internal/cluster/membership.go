@@ -7,9 +7,12 @@ package cluster
 //
 // The model:
 //
-//   - The ring, the shard list, the quorum, and the epoch move together under
-//     one write lock (Gateway.memMu), so a routing decision never observes a
-//     half-applied membership change.
+//   - The epoch, the ring, the members and the quorum they imply are one
+//     immutable fleet value, published through an atomic pointer. Every
+//     reader (routing, peer hints, /stats, /readyz, /metrics, the prober)
+//     loads one fleet and reads nothing else, so none can observe a
+//     half-applied membership change. Joins and leaves build the next fleet
+//     under one admin mutex; readers never take it.
 //   - Every mutation requires the caller to present the epoch it is mutating
 //     (the precondition it read from /stats). A stale epoch is a 409: two
 //     operators racing a change, or a replayed request, cannot both win.
@@ -18,10 +21,10 @@ package cluster
 //     fleet view from a spoofed or stale one.
 //   - Removing one of N shards remaps only that shard's own vnodes' keyspace
 //     (the consistent-hashing contract, pinned by TestBoundedMovement);
-//     adding one steals keys only for the newcomer. Either way, the previous
-//     ring is retained: requests whose segment changed owners are forwarded
-//     with a signed previous-owner hint, so the new owner can fetch the
-//     record instead of recomputing it (peer cache lookup before compute).
+//     adding one steals keys only for the newcomer. Either way, each fleet
+//     keeps the one before it: requests whose segment changed owners are
+//     forwarded with a signed previous-owner hint, so the new owner can fetch
+//     the record instead of recomputing it (peer cache lookup before compute).
 //   - A graceful leave additionally pushes the departing shard's hottest K
 //     cache entries to their new owners through the shards' /cache API, so
 //     the working set moves before the traffic does.
@@ -42,6 +45,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -108,41 +112,70 @@ func parseShardAddr(raw string) (name, base string, err error) {
 	return u.Host, strings.TrimSuffix(base, "/"), nil
 }
 
-// membershipLocked builds the current Membership. Caller holds memMu (read
-// or write).
-func (g *Gateway) membershipLocked() Membership {
-	m := Membership{Epoch: g.epoch, Shards: g.ring.Shards(), Quorum: g.quorumLocked()}
-	if g.cfg.AdminKey != "" {
-		m.Signature = signMembership(g.cfg.AdminKey, m.Epoch, m.Shards)
+// fleet is one membership generation. It is never modified once published:
+// a join or leave builds the next fleet and swaps the gateway's pointer.
+type fleet struct {
+	epoch   uint64
+	ring    *Ring
+	members []*shard // join order, for degraded round-robin
+	byName  map[string]*shard
+	// prev is the fleet this one replaced, with its own prev cleared: the
+	// source of previous-owner peer hints, and of the base URL of a shard
+	// that has just left.
+	prev *fleet
+}
+
+// newFleet builds the fleet of members (in join order) at epoch, replacing
+// prev (nil for the boot fleet).
+func newFleet(epoch uint64, members []*shard, prev *fleet) *fleet {
+	f := &fleet{epoch: epoch, members: members, byName: make(map[string]*shard, len(members))}
+	names := make([]string, len(members))
+	for i, s := range members {
+		names[i] = s.name
+		f.byName[s.name] = s
+	}
+	f.ring = NewRing(names...)
+	if prev != nil {
+		p := *prev
+		p.prev = nil
+		f.prev = &p
+	}
+	return f
+}
+
+// quorum is the ring-routing quorum: a majority of the members. Below it the
+// gateway degrades to any-alive-shard routing.
+func (f *fleet) quorum() int { return len(f.members)/2 + 1 }
+
+// alive counts the members whose last probe succeeded.
+func (f *fleet) alive() int {
+	n := 0
+	for _, s := range f.members {
+		if s.alive.Load() {
+			n++
+		}
+	}
+	return n
+}
+
+// membership is the fleet's published view, signed under key when one is
+// configured.
+func (f *fleet) membership(key string) Membership {
+	m := Membership{Epoch: f.epoch, Shards: f.ring.Shards(), Quorum: f.quorum()}
+	if key != "" {
+		m.Signature = signMembership(key, m.Epoch, m.Shards)
 	}
 	return m
 }
 
 // Membership returns the signed fleet view (the /stats membership section).
-func (g *Gateway) Membership() Membership {
-	g.memMu.RLock()
-	defer g.memMu.RUnlock()
-	return g.membershipLocked()
-}
+func (g *Gateway) Membership() Membership { return g.fleet.Load().membership(g.cfg.AdminKey) }
 
-// members returns a snapshot of the shard list in join order.
-func (g *Gateway) members() []*shard {
-	g.memMu.RLock()
-	defer g.memMu.RUnlock()
-	return append([]*shard(nil), g.order...)
+// epochConflict is the 409 for a mutation preconditioned on a stale epoch.
+func epochConflict(cur, got uint64) *gwError {
+	return &gwError{code: http.StatusConflict, kind: "epoch-conflict",
+		message: fmt.Sprintf("membership epoch is %d, request preconditioned on %d (stale view or replay)", cur, got)}
 }
-
-// quorumNow returns the ring-routing quorum.
-func (g *Gateway) quorumNow() int {
-	g.memMu.RLock()
-	defer g.memMu.RUnlock()
-	return g.quorumLocked()
-}
-
-// quorumLocked is the ring-routing quorum: a majority of the current
-// members. Below it the gateway degrades to any-alive-shard routing. Caller
-// holds memMu (read or write).
-func (g *Gateway) quorumLocked() int { return len(g.order)/2 + 1 }
 
 // verifyAdmin authenticates one membership API call. No admin key configured
 // means the API is disabled outright — static membership is the safe
@@ -235,37 +268,38 @@ func (g *Gateway) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	g.memMu.Lock()
-	if *req.Epoch != g.epoch {
-		cur := g.epoch
-		g.memMu.Unlock()
-		g.writeError(w, &gwError{code: http.StatusConflict, kind: "epoch-conflict",
-			message: fmt.Sprintf("membership epoch is %d, request preconditioned on %d (stale view or replay)", cur, *req.Epoch)})
+	next, s, gerr := g.join(name, base, *req.Epoch)
+	if gerr != nil {
+		g.writeError(w, gerr)
 		return
 	}
-	if _, dup := g.byName[name]; dup {
-		g.memMu.Unlock()
-		g.writeError(w, &gwError{code: http.StatusConflict, kind: "duplicate",
-			message: fmt.Sprintf("shard %q is already a member", name)})
-		return
-	}
-	s := &shard{name: name, base: base}
-	g.prevRing = g.ring.Clone()
-	g.ring.Add(name)
-	g.order = append(g.order, s)
-	g.byName[name] = s
-	g.bases[name] = base
-	g.epoch++
-	mem := g.membershipLocked()
-	g.memMu.Unlock()
-
-	// Probe synchronously before answering: the join response means "the
-	// ring routes to it now", so its liveness verdict must exist already
-	// rather than defaulting to dead until the next sweep.
-	g.prober.add(s)
 	g.joins.Add(1)
+	mem := next.membership(g.cfg.AdminKey)
 	g.cfg.Logf("schedgw: shard %s joined (epoch %d, quorum %d, alive %v)", name, mem.Epoch, mem.Quorum, s.alive.Load())
 	writeAdminJSON(w, adminResponse{Membership: mem})
+}
+
+// join publishes the fleet with the named shard appended, if epoch is
+// current and the name is new.
+func (g *Gateway) join(name, base string, epoch uint64) (*fleet, *shard, *gwError) {
+	g.adminMu.Lock()
+	defer g.adminMu.Unlock()
+	cur := g.fleet.Load()
+	if epoch != cur.epoch {
+		return nil, nil, epochConflict(cur.epoch, epoch)
+	}
+	if _, dup := cur.byName[name]; dup {
+		return nil, nil, &gwError{code: http.StatusConflict, kind: "duplicate",
+			message: fmt.Sprintf("shard %q is already a member", name)}
+	}
+	// Probe before publishing: the join response means "the ring routes to
+	// it now", so its liveness verdict must exist already rather than
+	// defaulting to dead until the next sweep.
+	s := &shard{name: name, base: base}
+	g.prober.probeOne(s)
+	next := newFleet(cur.epoch+1, append(slices.Clip(cur.members), s), cur)
+	g.fleet.Store(next)
+	return next, s, nil
 }
 
 // handleLeave removes a shard gracefully: ring exit first (so no new work
@@ -285,50 +319,41 @@ func (g *Gateway) handleLeave(w http.ResponseWriter, r *http.Request, id string)
 		return
 	}
 
-	g.memMu.Lock()
-	s, ok := g.byName[id]
-	if !ok {
-		g.memMu.Unlock()
-		g.writeError(w, &gwError{code: http.StatusNotFound, kind: "not-found",
-			message: fmt.Sprintf("shard %q is not a member", id)})
+	next, s, gerr := g.leave(id, epoch)
+	if gerr != nil {
+		g.writeError(w, gerr)
 		return
 	}
-	if len(g.order) == 1 {
-		g.memMu.Unlock()
-		g.writeError(w, &gwError{code: http.StatusConflict, kind: "conflict",
-			message: "refusing to remove the last shard; the ring may not be emptied"})
-		return
-	}
-	if epoch != g.epoch {
-		cur := g.epoch
-		g.memMu.Unlock()
-		g.writeError(w, &gwError{code: http.StatusConflict, kind: "epoch-conflict",
-			message: fmt.Sprintf("membership epoch is %d, request preconditioned on %d (stale view or replay)", cur, epoch)})
-		return
-	}
-	g.prevRing = g.ring.Clone()
-	g.ring.Remove(id)
-	delete(g.byName, id)
-	kept := g.order[:0]
-	for _, m := range g.order {
-		if m != s {
-			kept = append(kept, m)
-		}
-	}
-	g.order = kept
-	// bases keeps the departed shard's URL: it is exactly what the
-	// previous-owner peer hints need while the process drains.
-	g.epoch++
-	mem := g.membershipLocked()
-	newRing := g.ring.Clone()
-	g.memMu.Unlock()
-
-	g.prober.remove(id)
-	pushed, pushErrs := g.rebalance(s, newRing)
+	pushed, pushErrs := g.rebalance(s, next)
 	g.leaves.Add(1)
+	mem := next.membership(g.cfg.AdminKey)
 	g.cfg.Logf("schedgw: shard %s left (epoch %d, quorum %d); pushed %d hot records to new owners (%d errors)",
 		id, mem.Epoch, mem.Quorum, pushed, pushErrs)
 	writeAdminJSON(w, adminResponse{Membership: mem, Pushed: pushed, PushErrors: pushErrs})
+}
+
+// leave publishes the fleet without the named member, if epoch is current
+// and it is not the last one.
+func (g *Gateway) leave(id string, epoch uint64) (*fleet, *shard, *gwError) {
+	g.adminMu.Lock()
+	defer g.adminMu.Unlock()
+	cur := g.fleet.Load()
+	s, ok := cur.byName[id]
+	if !ok {
+		return nil, nil, &gwError{code: http.StatusNotFound, kind: "not-found",
+			message: fmt.Sprintf("shard %q is not a member", id)}
+	}
+	if len(cur.members) == 1 {
+		return nil, nil, &gwError{code: http.StatusConflict, kind: "conflict",
+			message: "refusing to remove the last shard; the ring may not be emptied"}
+	}
+	if epoch != cur.epoch {
+		return nil, nil, epochConflict(cur.epoch, epoch)
+	}
+	kept := slices.DeleteFunc(slices.Clone(cur.members), func(m *shard) bool { return m == s })
+	next := newFleet(cur.epoch+1, kept, cur)
+	g.fleet.Store(next)
+	return next, s, nil
 }
 
 func writeAdminJSON(w http.ResponseWriter, v adminResponse) {
@@ -336,24 +361,13 @@ func writeAdminJSON(w http.ResponseWriter, v adminResponse) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// baseFor resolves a shard name to its forwarding base URL, falling back to
-// the departed-shard record for members that have left the ring.
-func (g *Gateway) baseFor(name string) string {
-	g.memMu.RLock()
-	defer g.memMu.RUnlock()
-	if s, ok := g.byName[name]; ok {
-		return s.base
-	}
-	return g.bases[name]
-}
-
 // rebalance is the graceful-leave data movement: fetch the departing shard's
-// hottest K cache records and PUT each to its new owner on the post-leave
-// ring. Every push lands behind the receiving shard's legality gate, so a
+// hottest K cache records and PUT each to its new owner in the post-leave
+// fleet. Every push lands behind the receiving shard's legality gate, so a
 // corrupted or stale record costs a rejection, never an illegal serve. The
 // whole pass is bounded by rebalanceTimeout and purely best-effort: a failed
 // push degrades to a future peer lookup or a recompute.
-func (g *Gateway) rebalance(leaving *shard, newRing *Ring) (pushed, pushErrs int) {
+func (g *Gateway) rebalance(leaving *shard, next *fleet) (pushed, pushErrs int) {
 	if g.cfg.PeerKey == "" || g.cfg.RebalanceK <= 0 {
 		return 0, 0
 	}
@@ -393,18 +407,9 @@ func (g *Gateway) rebalance(leaving *shard, newRing *Ring) (pushed, pushErrs int
 			pushErrs++
 			continue
 		}
-		owners := newRing.Owners(KeyFor(gr.CanonicalHash()), 1)
-		if len(owners) == 0 {
-			pushErrs++
-			continue
-		}
-		base := g.baseFor(owners[0])
-		if base == "" || owners[0] == leaving.name {
-			pushErrs++
-			continue
-		}
-		if err := g.pushRecord(ctx, base, rec); err != nil {
-			g.cfg.Logf("schedgw: rebalance: pushing to %s: %v", owners[0], err)
+		owner := next.byName[next.ring.Owners(KeyFor(gr.CanonicalHash()), 1)[0]]
+		if err := g.pushRecord(ctx, owner.base, rec); err != nil {
+			g.cfg.Logf("schedgw: rebalance: pushing to %s: %v", owner.name, err)
 			pushErrs++
 			continue
 		}
@@ -458,22 +463,14 @@ func (g *Gateway) hintFor(key uint64) *peerHint {
 	if g.cfg.PeerKey == "" {
 		return nil
 	}
-	g.memMu.RLock()
-	defer g.memMu.RUnlock()
-	if g.prevRing == nil {
+	f := g.fleet.Load()
+	if f.prev == nil {
 		return nil
 	}
-	prev := g.prevRing.Owners(key, 1)
-	cur := g.ring.Owners(key, 1)
-	if len(prev) == 0 || len(cur) == 0 || prev[0] == cur[0] {
+	prev := f.prev.ring.Owners(key, 1)[0]
+	if prev == f.ring.Owners(key, 1)[0] {
 		return nil
 	}
-	base := g.bases[prev[0]]
-	if s, ok := g.byName[prev[0]]; ok {
-		base = s.base
-	}
-	if base == "" {
-		return nil
-	}
-	return &peerHint{owner: prev[0], base: base, sig: server.SignPeerHint(g.cfg.PeerKey, base)}
+	base := f.prev.byName[prev].base
+	return &peerHint{owner: prev, base: base, sig: server.SignPeerHint(g.cfg.PeerKey, base)}
 }

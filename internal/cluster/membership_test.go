@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -499,4 +500,107 @@ func FuzzAdminMembership(f *testing.F) {
 			t.Fatalf("%s %q left an unverifiable membership", method, target)
 		}
 	})
+}
+
+// TestFleetCoherence: under concurrent joins and leaves, every /stats
+// snapshot and every /readyz answer describes one whole fleet — the quorum,
+// the alive count and the shard rows all match the published membership —
+// and a probe sweep after the churn reaches exactly the members that
+// remain. Every shard is always ready, so /readyz must never report a
+// degraded fleet. CI runs it under -race with -count=20.
+func TestFleetCoherence(t *testing.T) {
+	pool := make([]*fakeShard, 6)
+	for i := range pool {
+		pool[i] = newFakeShard(t)
+	}
+	g := newTestGateway(t, Config{
+		Shards:     []string{pool[0].name, pool[1].name},
+		AdminKey:   "adm",
+		ProbeEvery: time.Hour,
+	})
+	serve := func(method, target string, body []byte) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(method, target, bytes.NewReader(body))
+		req.Header.Set(AdminKeyHeader, "adm")
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		return rec
+	}
+
+	var churn sync.WaitGroup
+	done := make(chan struct{})
+	for c := 0; c < 2; c++ {
+		churn.Add(1)
+		go func(c int) {
+			defer churn.Done()
+			for i := 0; i < 30; i++ {
+				mem := g.Membership()
+				f := pool[(c*7+i*5)%len(pool)]
+				var rec *httptest.ResponseRecorder
+				if slices.Contains(mem.Shards, f.name) {
+					rec = serve(http.MethodDelete, fmt.Sprintf("/admin/shards/%s?epoch=%d", f.name, mem.Epoch), nil)
+				} else {
+					rec = serve(http.MethodPost, "/admin/shards", []byte(fmt.Sprintf(`{"addr":%q,"epoch":%d}`, f.name, mem.Epoch)))
+				}
+				// A raced epoch, a raced duplicate or the last-shard refusal
+				// is a clean 409; anything else is a bug.
+				if rec.Code != http.StatusOK && rec.Code != http.StatusConflict && rec.Code != http.StatusNotFound {
+					t.Errorf("membership change -> %d: %s", rec.Code, rec.Body.Bytes())
+				}
+			}
+		}(c)
+	}
+	go func() { churn.Wait(); close(done) }()
+
+	for reads := 0; ; reads++ {
+		st := g.StatsSnapshot()
+		n := len(st.Membership.Shards)
+		if st.Quorum != n/2+1 {
+			t.Fatalf("quorum %d for %d members %v", st.Quorum, n, st.Membership.Shards)
+		}
+		if st.Alive > n {
+			t.Fatalf("%d alive of %d members", st.Alive, n)
+		}
+		rows := make([]string, len(st.Shards))
+		for i, r := range st.Shards {
+			rows[i] = r.Name
+		}
+		slices.Sort(rows)
+		if !slices.Equal(rows, st.Membership.Shards) {
+			t.Fatalf("shard rows %v, membership %v", rows, st.Membership.Shards)
+		}
+		if !VerifyMembership("adm", st.Membership) {
+			t.Fatalf("unverifiable membership %+v", st.Membership)
+		}
+		if rec := serve(http.MethodGet, "/readyz", nil); rec.Code != http.StatusOK {
+			t.Fatalf("/readyz -> %d with every member up: %s", rec.Code, rec.Body.Bytes())
+		}
+		select {
+		case <-done:
+		default:
+			continue
+		}
+		if reads == 0 {
+			t.Fatal("churn finished before any read")
+		}
+		break
+	}
+
+	if st := g.StatsSnapshot(); st.Joins == 0 || st.Leaves == 0 {
+		t.Fatalf("churn changed nothing: %d joins, %d leaves", st.Joins, st.Leaves)
+	}
+	before := make([]int64, len(pool))
+	for i, f := range pool {
+		before[i] = f.probes.Load()
+	}
+	g.prober.probeAll()
+	members := g.Membership().Shards
+	for i, f := range pool {
+		want := int64(0)
+		if slices.Contains(members, f.name) {
+			want = 1
+		}
+		if got := f.probes.Load() - before[i]; got != want {
+			t.Errorf("shard %s (member: %v) took %d probes in one sweep, want %d", f.name, want == 1, got, want)
+		}
+	}
 }

@@ -71,15 +71,16 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 		doubles.Set(float64(g.doubleDeliveries.Load()))
 		late.Set(float64(g.lateResults.Load()))
 
-		epoch.Set(float64(g.Membership().Epoch))
+		f := g.fleet.Load()
+		epoch.Set(float64(f.epoch))
 		joins.Set(float64(g.joins.Load()))
 		leaves.Set(float64(g.leaves.Load()))
 		peerHints.Set(float64(g.peerHints.Load()))
 		hotPushed.Set(float64(g.hotPushed.Load()))
 		hotPushErrs.Set(float64(g.hotPushErrors.Load()))
 
-		alive.Set(float64(g.aliveCount()))
-		quorum.Set(float64(g.quorumNow()))
+		alive.Set(float64(f.alive()))
+		quorum.Set(float64(f.quorum()))
 		inflight.Set(float64(g.inflight.Current()))
 		if g.draining.Load() {
 			draining.Set(1)
@@ -88,7 +89,7 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 		}
 		budget.Set(g.hedgeBudget().Seconds())
 
-		for _, s := range g.members() {
+		for _, s := range f.members {
 			if s.alive.Load() {
 				shardAlive.With(s.name).Set(1)
 			} else {

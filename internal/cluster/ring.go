@@ -23,11 +23,12 @@
 package cluster
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"repro/internal/ir"
 )
@@ -49,105 +50,53 @@ const replicas = 64
 // Ring is a consistent-hash ring of shard names. Each shard owns replicas
 // virtual points; a key is served by the first shard clockwise from its
 // position, and Owners enumerates the distinct shards in that order — the
-// hedging/failover sequence. Membership changes move only the keys adjacent
-// to the changed shard's points (~1/n of the keyspace), which is what keeps
-// a shard's content-addressed cache valid across other shards' joins and
-// leaves. A Ring is safe for concurrent use.
+// hedging/failover sequence. A point's position depends only on its shard's
+// name, so a membership change moves only the keys adjacent to the changed
+// shard's points (~1/n of the keyspace), which is what keeps a shard's
+// content-addressed cache valid across other shards' joins and leaves. A
+// Ring is immutable: a membership change builds a new one.
 type Ring struct {
-	mu     sync.RWMutex
-	points []point // sorted by pos
-	shards map[string]bool
+	points []point  // sorted by pos
+	shards []string // sorted, distinct
 }
 
-// NewRing returns an empty ring.
-func NewRing() *Ring { return &Ring{shards: make(map[string]bool)} }
-
-// Add inserts a shard's virtual points. Adding a present shard is a no-op.
-func (r *Ring) Add(shard string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.shards[shard] {
-		return
-	}
-	r.shards[shard] = true
-	for i := 0; i < replicas; i++ {
-		sum := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", shard, i)))
-		r.points = append(r.points, point{pos: binary.BigEndian.Uint64(sum[:8]), shard: shard})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].pos < r.points[j].pos })
-}
-
-// Remove deletes a shard's virtual points. Removing an absent shard is a
-// no-op.
-func (r *Ring) Remove(shard string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.shards[shard] {
-		return
-	}
-	delete(r.shards, shard)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != shard {
-			kept = append(kept, p)
+// NewRing returns the ring of the named shards. The order of the names does
+// not matter, and a repeated name counts once.
+func NewRing(shards ...string) *Ring {
+	names := slices.Clone(shards)
+	slices.Sort(names)
+	r := &Ring{shards: slices.Compact(names)}
+	r.points = make([]point, 0, replicas*len(r.shards))
+	for _, s := range r.shards {
+		for i := 0; i < replicas; i++ {
+			sum := sha256.Sum256([]byte(fmt.Sprintf("%s#%d", s, i)))
+			r.points = append(r.points, point{pos: binary.BigEndian.Uint64(sum[:8]), shard: s})
 		}
 	}
-	r.points = kept
-}
-
-// Clone returns an independent snapshot of the ring. The gateway keeps the
-// pre-change ring across each membership mutation so it can tell a new owner
-// which shard held a key before the change (the peer-lookup hint).
-func (r *Ring) Clone() *Ring {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	c := &Ring{shards: make(map[string]bool, len(r.shards))}
-	for s := range r.shards {
-		c.shards[s] = true
-	}
-	c.points = append([]point(nil), r.points...)
-	return c
+	slices.SortFunc(r.points, func(a, b point) int {
+		return cmp.Or(cmp.Compare(a.pos, b.pos), strings.Compare(a.shard, b.shard))
+	})
+	return r
 }
 
 // Shards returns the member shard names, sorted.
-func (r *Ring) Shards() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.shards))
-	for s := range r.shards {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len is the member count.
-func (r *Ring) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.shards)
-}
+func (r *Ring) Shards() []string { return slices.Clone(r.shards) }
 
 // Owners returns up to n distinct shards in clockwise order from key: the
 // primary owner first, then the shards a hedge or failover should try, in
-// order. With n >= Len it is a permutation of the membership, so a caller
-// that walks the whole slice has tried every shard exactly once.
+// order. With n >= the member count it is a permutation of the membership,
+// so a caller that walks the whole slice has tried every shard exactly once.
 func (r *Ring) Owners(key uint64, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if len(r.points) == 0 || n <= 0 {
 		return nil
 	}
-	if n > len(r.shards) {
-		n = len(r.shards)
-	}
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].pos >= key })
+	n = min(n, len(r.shards))
+	start, _ := slices.BinarySearchFunc(r.points, key, func(p point, k uint64) int { return cmp.Compare(p.pos, k) })
 	out := make([]string, 0, n)
-	seen := make(map[string]bool, n)
 	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.shard] {
-			seen[p.shard] = true
+		// A fleet is a handful of shards, so a scan of out is cheaper than a
+		// set.
+		if p := r.points[(start+i)%len(r.points)]; !slices.Contains(out, p.shard) {
 			out = append(out, p.shard)
 		}
 	}
