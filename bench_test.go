@@ -1,7 +1,7 @@
 // Package repro's root benchmarks time the scheduler: the Table 1 pass
-// sequences, the Fig. 10 compile-time scaling, and the hot paths (list
-// scheduler, preference map, simulator, gate, parse and seal, canonical
-// identity, graph text, engine, a warm service hit).
+// sequences, the Fig. 10 compile-time scaling and its scale unit, and the
+// hot paths (list scheduler, preference map, simulator, gate, parse and
+// seal, canonical identity, graph text, engine, a warm service hit).
 //
 // The paper's tables and figures, and the design-choice ablations, are
 // regenerated by cmd/experiments (go run ./cmd/experiments -exp table2,
@@ -86,6 +86,25 @@ func BenchmarkFig10Scalability(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("conv/%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.Schedule(g, m, passes.VliwSequence(), exp.Seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkConvergentScale is the perfbench scale workload's unit without
+// the service: the convergent scheduler with the VLIW sequence on the
+// Fig. 10 random DAGs of 1000 and 2000 instructions on vliw4. Unlike
+// BenchmarkFig10Scalability, whose pcc/2000 case takes seconds per op, it
+// is cheap enough for the benchmark gate.
+func BenchmarkConvergentScale(b *testing.B) {
+	m := machine.Chorus(4)
+	for _, n := range []int{1000, 2000} {
+		g := bench.RandomLayered(n, n/12+4, 4, exp.Seed)
+		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := core.Schedule(g, m, passes.VliwSequence(), exp.Seed); err != nil {
 					b.Fatal(err)

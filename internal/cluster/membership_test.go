@@ -604,3 +604,117 @@ func TestFleetCoherence(t *testing.T) {
 		}
 	}
 }
+
+// TestMetricsDropDepartedShards: after a graceful leave no /metrics row
+// names the departed shard, and a shard that rejoins under the same name
+// exports its new counters from 0, whether or not a scrape saw it gone.
+func TestMetricsDropDepartedShards(t *testing.T) {
+	a, b := newFakeShard(t), newFakeShard(t)
+	g := newTestGateway(t, Config{Shards: []string{a.name}, AdminKey: "adm", ProbeEvery: time.Hour})
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+
+	join := func() {
+		t.Helper()
+		body := []byte(fmt.Sprintf(`{"addr":%q,"epoch":%d}`, b.name, g.Membership().Epoch))
+		if code, m := adminDo(t, gw, http.MethodPost, "/admin/shards", "adm", body); code != http.StatusOK {
+			t.Fatalf("join: %d kind=%q", code, errKind(t, m))
+		}
+	}
+	leave := func() {
+		t.Helper()
+		path := fmt.Sprintf("/admin/shards/%s?epoch=%d", b.name, g.Membership().Epoch)
+		if code, m := adminDo(t, gw, http.MethodDelete, path, "adm", nil); code != http.StatusOK {
+			t.Fatalf("leave: %d kind=%q", code, errKind(t, m))
+		}
+	}
+	scrape := func() string {
+		t.Helper()
+		resp, err := http.Get(gw.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return string(out)
+	}
+	forwardedRow := func(n int) string {
+		return fmt.Sprintf("schedgw_shard_forwarded_total{shard=%q} %d\n", b.name, n)
+	}
+
+	join()
+	// A body whose ring primary is b, so traffic lands there.
+	var ddg string
+	for _, k := range bench.All() {
+		if d := irtext.String(k.Build(4)); primaryFor(t, g, d) == b.name {
+			ddg = d
+			break
+		}
+	}
+	if ddg == "" {
+		t.Fatal("no kernel routes to the joined shard")
+	}
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			resp, err := http.Post(gw.URL+"/schedule?machine=vliw4", "text/plain", strings.NewReader(ddg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}
+
+	send(3)
+	if out := scrape(); !strings.Contains(out, forwardedRow(3)) {
+		t.Fatalf("before the leave, want %q in:\n%s", forwardedRow(3), out)
+	}
+	leave()
+	if out := scrape(); strings.Contains(out, b.name) {
+		t.Fatalf("a row still names departed shard %s:\n%s", b.name, out)
+	}
+	join()
+	send(1)
+	if out := scrape(); !strings.Contains(out, forwardedRow(1)) {
+		t.Fatalf("after a rejoin, want %q in:\n%s", forwardedRow(1), out)
+	}
+	// Leave and rejoin with no scrape in between.
+	leave()
+	join()
+	send(2)
+	if out := scrape(); !strings.Contains(out, forwardedRow(2)) {
+		t.Fatalf("after an unscraped leave and rejoin, want %q in:\n%s", forwardedRow(2), out)
+	}
+
+	// Scrapes racing with churn; once it settles, the rows name exactly
+	// the members.
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var b strings.Builder
+				g.metrics.reg.WriteTo(&b)
+			}
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		leave()
+		join()
+	}
+	leave()
+	close(stop)
+	wg.Wait()
+	out := scrape()
+	if strings.Contains(out, b.name) || !strings.Contains(out, fmt.Sprintf("schedgw_shard_alive{shard=%q} 1\n", a.name)) {
+		t.Fatalf("after churn, want rows for %s alone:\n%s", a.name, out)
+	}
+}

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"sync"
+
 	"repro/internal/obs"
 	"repro/internal/robust"
 )
@@ -57,6 +59,14 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 	shardServed := reg.CounterVec("schedgw_shard_served_total", "Delivered responses per shard.", "shard")
 	shardProbeFails := reg.CounterVec("schedgw_shard_probe_failures_total", "Failed /readyz probes per shard.", "shard")
 
+	// The per-shard rows describe shown, the fleet the last scrape read.
+	// A member of it that the current fleet no longer holds as the same
+	// shard (it left, or left and rejoined as a new shard whose counters
+	// restart at 0) has its rows deleted. rowsMu orders the fleet loads of
+	// concurrent scrapes, so an older fleet's rows can never be written
+	// after a newer one's deletes.
+	var rowsMu sync.Mutex
+	var shown *fleet
 	reg.BeforeScrape(func() {
 		requests.Set(float64(g.requests.Load()))
 		delivered.Set(float64(g.delivered.Load()))
@@ -71,6 +81,8 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 		doubles.Set(float64(g.doubleDeliveries.Load()))
 		late.Set(float64(g.lateResults.Load()))
 
+		rowsMu.Lock()
+		defer rowsMu.Unlock()
 		f := g.fleet.Load()
 		epoch.Set(float64(f.epoch))
 		joins.Set(float64(g.joins.Load()))
@@ -89,6 +101,18 @@ func newGwMetrics(g *Gateway) *gwMetrics {
 		}
 		budget.Set(g.hedgeBudget().Seconds())
 
+		if shown != nil {
+			for _, s := range shown.members {
+				if f.byName[s.name] != s {
+					shardAlive.Delete(s.name)
+					shardForwarded.Delete(s.name)
+					shardFailures.Delete(s.name)
+					shardServed.Delete(s.name)
+					shardProbeFails.Delete(s.name)
+				}
+			}
+		}
+		shown = f
 		for _, s := range f.members {
 			if s.alive.Load() {
 				shardAlive.With(s.name).Set(1)

@@ -16,6 +16,7 @@ package irtext
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -136,39 +137,42 @@ func Parse(r io.Reader) (*ir.Graph, error) {
 	sc := bufio.NewScanner(r)
 	// The buffer starts small and doubles on demand, up to a 4 MiB line.
 	sc.Buffer(nil, 1<<22)
-	var fields []string // reused by every line
+	// Lines are read in place from the scanner's buffer, which the next
+	// Scan overwrites: only the graph name and instruction names, which
+	// the graph keeps, are copied out.
+	var fields [][]byte // reused by every line
 	var args []int      // operand scratch, reused by every instruction
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if i := strings.Index(line, "#"); i >= 0 {
+		line := sc.Bytes()
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
 		// A trailing "; name" comment names the instruction.
 		name := ""
-		if i := strings.Index(line, ";"); i >= 0 {
-			name = strings.TrimSpace(line[i+1:])
+		if i := bytes.IndexByte(line, ';'); i >= 0 {
+			name = string(bytes.TrimSpace(line[i+1:]))
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
 		fields = appendFields(fields[:0], line)
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "graph":
 			if len(fields) != 2 {
 				return nil, fmt.Errorf("irtext: line %d: want 'graph <name>'", lineNo)
 			}
-			g.Name = fields[1]
+			g.Name = string(fields[1])
 			continue
 		case "memedge":
 			if len(fields) != 3 {
 				return nil, fmt.Errorf("irtext: line %d: want 'memedge <from> <to>'", lineNo)
 			}
-			from, err1 := strconv.Atoi(fields[1])
-			to, err2 := strconv.Atoi(fields[2])
+			from, err1 := strconv.Atoi(string(fields[1]))
+			to, err2 := strconv.Atoi(string(fields[2]))
 			if err1 != nil || err2 != nil {
 				return nil, fmt.Errorf("irtext: line %d: bad memedge operands", lineNo)
 			}
@@ -194,14 +198,14 @@ func Parse(r io.Reader) (*ir.Graph, error) {
 // appendFields appends the fields of s to dst exactly as strings.Fields
 // splits them: around runs of Unicode white space, with invalid UTF-8
 // bytes counting as non-space.
-func appendFields(dst []string, s string) []string {
+func appendFields(dst [][]byte, s []byte) [][]byte {
 	start := -1
 	for i := 0; i < len(s); {
 		c, width := s[i], 1
 		space := asciiSpace[c]
 		if c >= utf8.RuneSelf {
 			var r rune
-			r, width = utf8.DecodeRuneInString(s[i:])
+			r, width = utf8.DecodeRune(s[i:])
 			space = unicode.IsSpace(r)
 		}
 		switch {
@@ -228,8 +232,9 @@ func ParseString(s string) (*ir.Graph, error) {
 }
 
 // parseInstr adds the instruction on one line to g. It collects the
-// operands in *scratch, which it leaves grown for the next line.
-func parseInstr(g *ir.Graph, fields []string, name string, lineNo int, scratch *[]int) (err error) {
+// operands in *scratch, which it leaves grown for the next line. fields
+// alias the scanner's buffer and must not be retained.
+func parseInstr(g *ir.Graph, fields [][]byte, name string, lineNo int, scratch *[]int) (err error) {
 	// Recover the builder's panics into parse errors so malformed input
 	// never crashes a tool.
 	defer func() {
@@ -237,11 +242,11 @@ func parseInstr(g *ir.Graph, fields []string, name string, lineNo int, scratch *
 			err = fmt.Errorf("irtext: line %d: %v", lineNo, r)
 		}
 	}()
-	idField := strings.TrimSuffix(fields[0], ":")
-	if idField == fields[0] {
+	idField, ok := bytes.CutSuffix(fields[0], []byte(":"))
+	if !ok {
 		return fmt.Errorf("irtext: line %d: missing ':' after instruction id", lineNo)
 	}
-	id, aerr := strconv.Atoi(idField)
+	id, aerr := strconv.Atoi(string(idField))
 	if aerr != nil {
 		return fmt.Errorf("irtext: line %d: bad instruction id %q", lineNo, idField)
 	}
@@ -251,30 +256,31 @@ func parseInstr(g *ir.Graph, fields []string, name string, lineNo int, scratch *
 	if len(fields) < 2 {
 		return fmt.Errorf("irtext: line %d: missing opcode", lineNo)
 	}
-	op, ok := ir.OpFromString(fields[1])
+	op, ok := ir.OpFromString(string(fields[1]))
 	if !ok {
 		return fmt.Errorf("irtext: line %d: unknown opcode %q", lineNo, fields[1])
 	}
 	args := (*scratch)[:0]
 	bank := ir.NoBank
 	home := ir.NoHome
-	imm, hasImm := "", false
+	var imm []byte
+	hasImm := false
 	for _, f := range fields[2:] {
 		switch {
-		case strings.HasPrefix(f, "%"):
-			a, aerr := strconv.Atoi(f[1:])
+		case bytes.HasPrefix(f, []byte("%")):
+			a, aerr := strconv.Atoi(string(f[1:]))
 			if aerr != nil {
 				return fmt.Errorf("irtext: line %d: bad operand %q", lineNo, f)
 			}
 			args = append(args, a)
-		case strings.HasPrefix(f, "bank="):
-			b, aerr := strconv.Atoi(f[len("bank="):])
+		case bytes.HasPrefix(f, []byte("bank=")):
+			b, aerr := strconv.Atoi(string(f[len("bank="):]))
 			if aerr != nil {
 				return fmt.Errorf("irtext: line %d: bad bank %q", lineNo, f)
 			}
 			bank = b
-		case strings.HasPrefix(f, "@home="):
-			h, aerr := strconv.Atoi(f[len("@home="):])
+		case bytes.HasPrefix(f, []byte("@home=")):
+			h, aerr := strconv.Atoi(string(f[len("@home="):]))
 			if aerr != nil {
 				return fmt.Errorf("irtext: line %d: bad home %q", lineNo, f)
 			}
@@ -294,7 +300,7 @@ func parseInstr(g *ir.Graph, fields []string, name string, lineNo int, scratch *
 		if !hasImm {
 			return fmt.Errorf("irtext: line %d: const needs an immediate", lineNo)
 		}
-		v, aerr := strconv.ParseInt(imm, 10, 64)
+		v, aerr := strconv.ParseInt(string(imm), 10, 64)
 		if aerr != nil {
 			return fmt.Errorf("irtext: line %d: bad integer immediate %q", lineNo, imm)
 		}
@@ -303,7 +309,7 @@ func parseInstr(g *ir.Graph, fields []string, name string, lineNo int, scratch *
 		if !hasImm {
 			return fmt.Errorf("irtext: line %d: fconst needs an immediate", lineNo)
 		}
-		v, aerr := strconv.ParseFloat(imm, 64)
+		v, aerr := strconv.ParseFloat(string(imm), 64)
 		if aerr != nil {
 			return fmt.Errorf("irtext: line %d: bad float immediate %q", lineNo, imm)
 		}

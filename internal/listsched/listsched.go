@@ -80,6 +80,14 @@ func CheckAssignment(g *ir.Graph, m *machine.Model, assign []int) error {
 // free. Inter-cluster moves are scheduled eagerly at their earliest
 // feasible departure the first time a remote consumer becomes ready for
 // consideration.
+//
+// No work is repeated that cannot change its answer. A candidate's earliest
+// start never falls (an arrival is set once, reservations are never
+// released and memory-predecessor readiness is fixed once the candidate is
+// ready), so a candidate is not probed again until the cycle reaches its
+// last probed start; cycles in which no candidate can wake are skipped.
+// The candidate list stays in SortByPriority order, a total order, by
+// merging each cycle's newly ready instructions into it.
 func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error) {
 	g.Seal()
 	if err := CheckAssignment(g, m, opt.Assignment); err != nil {
@@ -96,9 +104,13 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 	t := NewTables(g, m)
 	n := g.Len()
 	// pending[i] counts unplaced predecessors; candidates hold
-	// instructions whose predecessors are all placed.
+	// instructions whose predecessors are all placed, in priority order.
+	// est[i] is candidate i's last probed earliest start.
 	pending := make([]int, n)
-	var candidates []int
+	est := make([]int, n)
+	candidates := make([]int, 0, n)
+	merged := make([]int, 0, n)
+	fresh := make([]int, 0, n)
 	for i := 0; i < n; i++ {
 		pending[i] = len(g.Preds(i))
 		if pending[i] == 0 {
@@ -117,53 +129,79 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 		bound += m.OpLatency(in.Op) + maxComm + 1
 	}
 
-	for cycle := 0; placedTotal < n; cycle++ {
+	for cycle := 0; placedTotal < n; {
 		if cycle > bound {
 			return nil, fmt.Errorf("listsched: no progress by cycle %d (%d of %d placed)", cycle, placedTotal, n)
 		}
-		progressed := false
-		var next []int
-		var newlyPlaced []int
+		// wake is the first cycle at which a deferred candidate may
+		// issue, clamped so a stuck schedule still fails at bound+1.
+		// The cycle advances by at least one whatever wake says, so no
+		// error in it can keep the bound from ending a stuck run.
+		wake := bound + 1
+		kept := candidates[:0]
+		fresh = fresh[:0]
 		for _, i := range candidates {
+			if cycle < est[i] {
+				kept = append(kept, i)
+				wake = min(wake, est[i])
+				continue
+			}
 			cl := opt.Assignment[i]
+			fu := t.FindFU(g.Instrs[i].Op, cl, cycle)
+			if fu < 0 {
+				kept = append(kept, i)
+				wake = cycle + 1
+				continue
+			}
 			// Probe first; only commit communication reservations
 			// once the instruction is actually placeable this
 			// cycle, so deferred candidates never pin down ports
-			// they cannot use yet.
-			if est := t.EarliestStart(i, cl, false); est > cycle {
-				next = append(next, i)
-				continue
+			// they cannot use yet. A failed commit found contention
+			// introduced by an earlier placement in this same cycle.
+			if est[i] = t.EarliestStart(i, cl, false); est[i] <= cycle {
+				est[i] = t.EarliestStart(i, cl, true)
 			}
-			fu := t.FindFU(g.Instrs[i].Op, cl, cycle)
-			if fu < 0 {
-				next = append(next, i)
-				continue
-			}
-			if est := t.EarliestStart(i, cl, true); est > cycle {
-				// Committing found contention introduced by an
-				// earlier placement in this same cycle.
-				next = append(next, i)
+			if est[i] > cycle {
+				kept = append(kept, i)
+				wake = min(wake, est[i])
 				continue
 			}
 			t.Place(i, cl, fu, cycle)
 			placedTotal++
-			progressed = true
-			newlyPlaced = append(newlyPlaced, i)
-		}
-		candidates = next
-		for _, i := range newlyPlaced {
 			for _, s := range g.Succs(i) {
 				pending[s]--
 				if pending[s] == 0 {
-					candidates = append(candidates, s)
+					fresh = append(fresh, s)
 				}
 			}
 		}
-		if progressed || len(newlyPlaced) > 0 {
-			SortByPriority(candidates, prio)
+		candidates = kept
+		if len(fresh) > 0 {
+			SortByPriority(fresh, prio)
+			merged = mergeByPriority(merged[:0], candidates, fresh, prio)
+			candidates, merged = merged, candidates
+			wake = cycle + 1
 		}
+		cycle = max(cycle+1, wake)
 	}
 	sched := t.Schedule()
 	sched.SortComms()
 	return sched, nil
+}
+
+// mergeByPriority appends to dst the merge of a and b, each already in
+// SortByPriority order, in that order.
+func mergeByPriority(dst, a, b []int, prio []float64) []int {
+	for len(a) > 0 && len(b) > 0 {
+		x, y := a[0], b[0]
+		if prio[x] < prio[y] || prio[x] == prio[y] && x < y {
+			dst = append(dst, x)
+			a = a[1:]
+		} else {
+			dst = append(dst, y)
+			b = b[1:]
+		}
+	}
+	dst = append(dst, a...)
+	return append(dst, b...)
 }

@@ -35,6 +35,11 @@ type Tables struct {
 	// arrival[v*nc+c] is the first cycle value v is usable on cluster c,
 	// or -1 if it is not there.
 	arrival []int32
+	// resume[v*nc+c] is the departure the last route search for value v
+	// to cluster c found. Every earlier departure was infeasible then and
+	// stays so, because reservations are never released; the next search
+	// for the pair starts there.
+	resume []int32
 
 	// rows is the number of cycles every row below covers.
 	rows   int
@@ -60,6 +65,7 @@ func NewTables(g *ir.Graph, m *machine.Model) *Tables {
 		xfer:    m.XferFU(),
 		placed:  make([]bool, g.Len()),
 		arrival: make([]int32, g.Len()*m.NumClusters),
+		resume:  make([]int32, g.Len()*m.NumClusters),
 	}
 	if m.LinkLevel() {
 		t.nl = 4 * m.MeshW * m.MeshH
@@ -251,9 +257,18 @@ func (t *Tables) ProbeRoute(v, cluster int) int {
 	if a := t.Arrival(v, cluster); a >= 0 {
 		return a
 	}
-	src := t.sched.Placements[v].Cluster
-	_, arrive := t.routeSlot(src, cluster, t.ReadyOnHome(v))
+	_, _, arrive := t.searchRoute(v, cluster)
 	return arrive
+}
+
+// searchRoute finds the earliest feasible departure of placed value v to
+// the cluster, resuming from the last one found for the pair.
+func (t *Tables) searchRoute(v, cluster int) (src, depart, arrive int) {
+	src = t.sched.Placements[v].Cluster
+	k := v*t.nc + cluster
+	depart, arrive = t.routeSlot(src, cluster, max(t.ReadyOnHome(v), int(t.resume[k])))
+	t.resume[k] = int32(depart)
+	return src, depart, arrive
 }
 
 // Route ensures value v will be usable on the cluster, scheduling a
@@ -267,8 +282,7 @@ func (t *Tables) Route(v, cluster int) int {
 	if !t.placed[v] {
 		panic(fmt.Sprintf("listsched: routing unplaced value %d", v))
 	}
-	src := t.sched.Placements[v].Cluster
-	depart, arrive := t.routeSlot(src, cluster, t.ReadyOnHome(v))
+	src, depart, arrive := t.searchRoute(v, cluster)
 	route := t.m.Route(src, cluster)
 	t.grow(max(arrive, depart+len(route)))
 	k := depart*t.nc + src

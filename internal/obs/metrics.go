@@ -241,6 +241,15 @@ func (f *family) get(labelValues []string) *child {
 	return c
 }
 
+// delete drops the labelled child, if any: its series leaves the next
+// scrape, and a later get starts a fresh child.
+func (f *family) delete(labelValues []string) {
+	key := strings.Join(labelValues, "\x00")
+	f.mu.Lock()
+	delete(f.children, key)
+	f.mu.Unlock()
+}
+
 // Counter registers (or returns) an unlabelled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(name, help, kindCounter, nil, nil).get(nil).counter
@@ -273,6 +282,11 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.get(labelValues).counter
 }
 
+// Delete removes the counter for the given label values, so a series
+// whose subject is gone stops being exported. A later With starts it
+// again from zero.
+func (v *CounterVec) Delete(labelValues ...string) { v.f.delete(labelValues) }
+
 // GaugeVec is a gauge family keyed by label values.
 type GaugeVec struct{ f *family }
 
@@ -285,6 +299,9 @@ func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
 func (v *GaugeVec) With(labelValues ...string) *Gauge {
 	return v.f.get(labelValues).gauge
 }
+
+// Delete removes the gauge for the given label values.
+func (v *GaugeVec) Delete(labelValues ...string) { v.f.delete(labelValues) }
 
 // HistogramVec is a histogram family keyed by label values.
 type HistogramVec struct{ f *family }

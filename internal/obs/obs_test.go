@@ -89,6 +89,29 @@ func TestVecLabelsAndSortedOutput(t *testing.T) {
 	}
 }
 
+// TestVecDelete: a deleted child leaves the scrape, its siblings stay, and
+// With afterwards starts a fresh series from zero.
+func TestVecDelete(t *testing.T) {
+	r := NewRegistry()
+	c := r.CounterVec("del_total", "h", "shard")
+	g := r.GaugeVec("del_alive", "h", "shard")
+	for _, s := range []string{"a", "b"} {
+		c.With(s).Add(5)
+		g.With(s).Set(1)
+	}
+	c.Delete("a")
+	g.Delete("a")
+	c.Delete("nobody") // absent: no-op
+	out := render(t, r)
+	if strings.Contains(out, `shard="a"`) || !strings.Contains(out, `del_total{shard="b"} 5`) || !strings.Contains(out, `del_alive{shard="b"} 1`) {
+		t.Fatalf("after deleting a:\n%s", out)
+	}
+	c.With("a").Set(2)
+	if out := render(t, r); !strings.Contains(out, `del_total{shard="a"} 2`) {
+		t.Fatalf("recreated counter does not start from zero:\n%s", out)
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.CounterVec("esc_total", "h", "v").With("a\"b\\c\nd").Inc()

@@ -188,19 +188,28 @@ func (p Path) Run(s *core.State) {
 	sc := s.Scratch()
 	marked := sc.Bools(n)
 	loads := s.LoadsInto(sc.Floats(s.W.Clusters()))
-	// Work buffers reused across path iterations. down/next are fully
-	// overwritten per search; onPath is cleared selectively after each
-	// iteration (its set bits are exactly the absorbed path's members).
+	lat := sc.Ints(n)
+	for i, in := range s.Graph.Instrs {
+		lat[i] = s.Machine.OpLatency(in.Op)
+	}
+	// Work buffers reused across path iterations. down/next carry over
+	// from one search to the next, which recomputes only what dirty
+	// flags; onPath is cleared selectively after each iteration (its set
+	// bits are exactly the absorbed path's members).
 	down := sc.Ints(n)
 	next := sc.Ints(n)
+	dirty := sc.Bools(n)
+	for i := range dirty {
+		dirty[i] = true
+	}
 	pathBuf := sc.IntsCap(n)
 	onPath := sc.Bools(n)
 	fringeBuf := sc.IntsCap(n)
 	cutBuf := sc.IntsCap(n + 1)
 	sums := sc.Floats(s.W.Clusters())
 	for iter := 0; iter < maxPaths; iter++ {
-		path := longestUnmarkedPath(s, marked, down, next, pathBuf)
-		if len(path) == 0 || float64(pathLength(s, path)) < minFrac*float64(cpl) {
+		path := longestUnmarkedPath(s, lat, marked, dirty, down, next, pathBuf)
+		if len(path) == 0 || float64(pathLength(lat, path)) < minFrac*float64(cpl) {
 			return
 		}
 		path = absorbFringe(s, path, marked, onPath, fringeBuf)
@@ -243,6 +252,7 @@ func (p Path) Run(s *core.State) {
 		}
 		for _, i := range path {
 			marked[i] = true
+			dirty[i] = true
 			onPath[i] = false
 		}
 	}
@@ -288,11 +298,11 @@ func absorbFringe(s *core.State, path []int, marked, onPath []bool, out []int) [
 	return out
 }
 
-// pathLength sums machine latencies along a path.
-func pathLength(s *core.State, path []int) int {
+// pathLength sums the latencies lat along a path.
+func pathLength(lat, path []int) int {
 	total := 0
 	for _, i := range path {
-		total += s.Machine.OpLatency(s.Graph.Instrs[i].Op)
+		total += lat[i]
 	}
 	return total
 }
@@ -319,35 +329,44 @@ func splitAtHomes(s *core.State, cp []int, cuts []int) []int {
 }
 
 // longestUnmarkedPath finds the longest dependence chain consisting purely
-// of unmarked instructions, under machine latencies. Returns nil when all
-// instructions are marked. down and next must hold Len values (contents are
-// overwritten); pathBuf provides the backing for the returned path.
-func longestUnmarkedPath(s *core.State, marked []bool, down, next, pathBuf []int) []int {
+// of unmarked instructions, under the per-instruction latencies lat.
+// Returns nil when all instructions are marked. pathBuf provides the
+// backing for the returned path.
+//
+// down[i] is the length of the longest unmarked chain starting at i (0 once
+// i is marked) and next[i] its second member (-1 at its end). Both carry
+// over from the previous call: only instructions flagged in dirty (the
+// caller flags those it has just marked; the first call needs every flag
+// set) are recomputed, and one whose down changes flags its predecessors.
+// IDs are topological, so one descending-ID sweep sees every successor
+// final before its predecessors. dirty is all false on return.
+func longestUnmarkedPath(s *core.State, lat []int, marked, dirty []bool, down, next, pathBuf []int) []int {
 	g := s.Graph
-	n := g.Len()
-	lat := s.Machine.LatencyFunc()
 	best := -1
-	for i := n - 1; i >= 0; i-- {
-		next[i] = -1
-		if marked[i] {
-			down[i] = 0
-			continue
-		}
-		down[i] = lat(g.Instrs[i].Op)
-		for _, sc := range g.Succs(i) {
-			if marked[sc] {
-				continue
+	for i := len(down) - 1; i >= 0; i-- {
+		if dirty[i] {
+			dirty[i] = false
+			d, nx := 0, -1
+			if !marked[i] {
+				d = lat[i]
+				for _, sc := range g.Succs(i) {
+					if l := lat[i] + down[sc]; !marked[sc] && l > d {
+						d, nx = l, sc
+					}
+				}
 			}
-			if l := lat(g.Instrs[i].Op) + down[sc]; l > down[i] {
-				down[i] = l
-				next[i] = sc
+			if d != down[i] {
+				for _, p := range g.Preds(i) {
+					dirty[p] = true
+				}
 			}
+			down[i], next[i] = d, nx
 		}
-		if best < 0 || down[i] > down[best] {
+		if !marked[i] && (best < 0 || down[i] > down[best]) {
 			best = i
 		}
 	}
-	if best < 0 || marked[best] {
+	if best < 0 {
 		return nil
 	}
 	path := pathBuf[:0]

@@ -1,10 +1,14 @@
 package passes
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -135,6 +139,58 @@ func TestPathKeepsCriticalPathTogether(t *testing.T) {
 	for _, i := range []int{b.ID, c.ID, d.ID} {
 		if got := s.W.PreferredCluster(i); got != want {
 			t.Errorf("critical path split: instr %d on %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestPathMatchesReference runs PATH and refPath on one state, reached by
+// the machine's sequence up to its PATH pass, and requires bit-identical
+// weights afterwards: every kernel on raw16 and vliw4, and RandomLayered
+// 1000 and 2000 on vliw4. The second configuration strengthens paths down
+// to a twentieth of the critical path, so the incremental search runs for
+// hundreds of iterations.
+func TestPathMatchesReference(t *testing.T) {
+	type cell struct {
+		name string
+		g    *ir.Graph
+		m    *machine.Model
+	}
+	var cells []cell
+	for _, m := range []*machine.Model{machine.Raw(16), machine.Chorus(4)} {
+		for _, k := range bench.All() {
+			cells = append(cells, cell{k.Name + "/" + m.Name, k.Build(m.NumClusters), m})
+		}
+	}
+	for _, n := range []int{1000, 2000} {
+		cells = append(cells, cell{fmt.Sprintf("random%d/vliw4", n), bench.RandomLayered(n, n/12+4, 4, 1), machine.Chorus(4)})
+	}
+	configs := []Path{{}, {MinFraction: 0.05, MaxPaths: 1000}}
+	for _, c := range cells {
+		seq := ForMachine(c.m.Name)
+		k := 0
+		for seq[k].Name() != "PATH" {
+			k++
+		}
+		for ci, p := range configs {
+			var sides [2]*core.State
+			for j := range sides {
+				sides[j] = core.NewState(c.g, c.m, 1)
+				core.RunPasses(context.Background(), sides[j], seq[:k])
+			}
+			p.Run(sides[0])
+			refPath(p).Run(sides[1])
+			a, b := sides[0].W, sides[1].W
+		cmp:
+			for i := 0; i < a.N(); i++ {
+				for tt := 0; tt < a.Times(); tt++ {
+					for cl := 0; cl < a.Clusters(); cl++ {
+						if x, y := a.At(i, tt, cl), b.At(i, tt, cl); math.Float64bits(x) != math.Float64bits(y) {
+							t.Errorf("%s config %d: weight (%d,%d,%d) = %v, reference %v", c.name, ci, i, tt, cl, x, y)
+							break cmp
+						}
+					}
+				}
+			}
 		}
 	}
 }
