@@ -60,11 +60,6 @@ type Job struct {
 	// uncacheable; empty with the default ladder lets the engine derive
 	// robust.DefaultLadderID itself.
 	LadderID string
-	// MemoryID identifies Opts.InitMemory for the cache key when Verify is
-	// set: two jobs with different initial memories can accept different
-	// rungs, so a verify job with a non-nil memory and no MemoryID is
-	// uncacheable.
-	MemoryID string
 	// Trace, when non-nil, receives this job's observability record (cache
 	// path, ladder attempts, per-pass preference-map deltas). It overrides
 	// any trace already carried by the batch context, so each job of a batch
@@ -314,8 +309,9 @@ func (e *Engine) keyFor(job Job) (string, ir.Canonical, bool) {
 		// building the ladder on every warm hit.
 		ladderID = "default:" + robust.DefaultLadderID(job.Machine, job.Opts.Seed)
 	}
-	memID := job.MemoryID
-	if job.Opts.Verify && job.Opts.InitMemory != nil && memID == "" {
+	// Two jobs with different initial memories can accept different rungs
+	// under Verify, and the key does not hash the memory.
+	if job.Opts.Verify && job.Opts.InitMemory != nil {
 		return "", ir.Canonical{}, false
 	}
 
@@ -331,7 +327,9 @@ func (e *Engine) keyFor(job Job) (string, ir.Canonical, bool) {
 		io.WriteString(h, s)
 	}
 	writeStr(ladderID)
-	writeStr(memID)
+	// An empty string where a memory identity was once hashed, so keys,
+	// and the stores written under them, stay valid.
+	writeStr("")
 	var tail [17]byte
 	binary.LittleEndian.PutUint64(tail[0:8], uint64(job.Opts.Seed))
 	binary.LittleEndian.PutUint64(tail[8:16], uint64(job.Opts.Timeout))

@@ -145,6 +145,24 @@ func TestBatchPreservesOrderAndIsolatesFailures(t *testing.T) {
 	}
 }
 
+// TestVerifyWithMemoryUncacheable: the key does not hash an initial
+// memory, so a Verify job that carries one must not be cached; without
+// Verify the memory is never read and the job keys as usual.
+func TestVerifyWithMemoryUncacheable(t *testing.T) {
+	k, _ := bench.ByName("vvmul")
+	m := machine.Chorus(4)
+	e := New(1, 16)
+	j := job(k, m)
+	j.Opts.InitMemory = k.InitMemory(4)
+	if _, ok := e.CacheKey(j); !ok {
+		t.Error("job with an unread initial memory not cacheable")
+	}
+	j.Opts.Verify = true
+	if _, ok := e.CacheKey(j); ok {
+		t.Error("verify job with an initial memory cacheable")
+	}
+}
+
 func TestCustomLadderUncacheableWithoutID(t *testing.T) {
 	k, _ := bench.ByName("vvmul")
 	m := machine.Chorus(4)

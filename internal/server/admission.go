@@ -77,6 +77,10 @@ const (
 // attributed to the offending tenant and cause, so overload isolates
 // instead of collapsing, and a backlogged class can never starve another:
 // any class with queued work is granted at least once per round.
+//
+// Every admission event is counted once, on its tenant: the class and
+// server-wide totals in stats() are sums over tenants, which is exact
+// because a tenant's class never changes.
 type admission struct {
 	bucket *tokenBucket // server-wide arrival smoother (backward compatible)
 	now    func() time.Time
@@ -88,21 +92,11 @@ type admission struct {
 	assign   map[string]string
 	tenants  map[string]*tenantState
 	rr       int // DRR pointer into classes
-	waiting  int // waiters queued across all classes
 	free     int // free worker slots
-	workers  int
 	totalCap int // sum of class queue bounds
+	slots    int // tenants holding a dedicated latency label
 
-	accepted   uint64 // requests admitted past every bound
-	shedQueue  uint64 // rejected: class queue full
-	shedRate   uint64 // rejected: global or tenant token bucket empty
-	shedQuota  uint64 // rejected: per-tenant in-flight quota
-	timeouts   uint64 // admitted but expired before or during scheduling
-	completed  uint64 // finished with a schedule
-	failed     uint64 // finished with a scheduling error
-	totalWait  time.Duration
-	totalTotal time.Duration
-	maxTotal   time.Duration
+	totalWait time.Duration
 }
 
 // classState is one priority class's live admission state.
@@ -112,22 +106,39 @@ type classState struct {
 	waiters []*waiter
 	deficit int    // DRR deficit remaining this round
 	granted uint64 // worker grants handed to this class
-
-	accepted, shedQueue, shedRate, shedQuota uint64
 }
 
 // tenantState is one tenant's live admission state; created lazily on first
-// sight, bounded by maxTrackedTenants per server.
+// sight, bounded by maxTrackedTenants per server (plus one overflow
+// identity per class). Its name is the identity every per-tenant series
+// is labelled with.
 type tenantState struct {
 	name     string
 	class    *classState
 	bucket   *tokenBucket
 	inflight int // admitted-but-unfinished requests by this tenant
 
+	// The only admission counters: rate covers the global and the tenant
+	// bucket.
 	accepted, shedQueue, shedRate, shedQuota uint64
 	timeouts, completed, failed              uint64
 	totalTotal, maxTotal                     time.Duration
+
+	// slot says the tenant's latency has its own label in
+	// schedd_tenant_latency_seconds (see observe).
+	slot bool
 }
+
+// Bounds for the per-tenant latency histogram: at most topKTenantSlots
+// dedicated labels, each earned only after topKSlotThreshold finished
+// requests, so a one-off name can never burn a slot. Histogram
+// observations cannot be re-homed between labels, so a slot is granted
+// once and never revoked; a tenant's observations before it earns its
+// slot stay under the overflowTenant label.
+const (
+	topKTenantSlots   = 8
+	topKSlotThreshold = 16
+)
 
 // waiter is one admitted request waiting for a worker grant. state moves
 // 0 (pending) -> 1 (granted, ready closed) or 0 -> 2 (abandoned); the
@@ -155,8 +166,6 @@ func newAdmission(tc TenantConfig, maxQueue, workers int, rate float64, burst in
 		byClass: make(map[string]*classState),
 		tenants: make(map[string]*tenantState),
 		assign:  make(map[string]string, len(tc.Tenants)),
-		free:    workers,
-		workers: workers,
 	}
 	defName := tc.DefaultClass
 	if defName == "" {
@@ -199,10 +208,7 @@ func newAdmission(tc TenantConfig, maxQueue, workers int, rate float64, burst in
 			a.assign[t] = cl
 		}
 	}
-	if workers > a.totalCap {
-		a.free = a.totalCap
-		a.workers = a.totalCap
-	}
+	a.free = min(workers, a.totalCap)
 	return a
 }
 
@@ -285,54 +291,42 @@ func (a *admission) capacity() int { return a.totalCap }
 
 // admit applies, in order: the server-wide rate limiter, the tenant's own
 // token bucket, the tenant's in-flight quota, and the tenant's class queue
-// bound — all without blocking. On rejection it returns the shed cause and
-// a Retry-After hint; on admission the caller owns a grant and must call
-// release exactly once (it is safe to call more).
-func (a *admission) admit(tenant string) (g *admitGrant, cause string, retryAfter time.Duration) {
-	if ok, retry := a.bucket.take(); !ok {
-		a.mu.Lock()
-		t := a.tenantFor(tenant)
-		a.shedRate++
-		t.shedRate++
-		t.class.shedRate++
-		a.mu.Unlock()
-		return nil, ShedCauseRate, retry
-	}
+// bound — all without blocking. It returns the identity the request was
+// charged to: the tenant's own name, AnonymousTenant for "", or its
+// class's overflow identity past maxTrackedTenants. On rejection it also
+// returns the shed cause and a Retry-After hint; on admission the caller
+// owns a grant and must call release exactly once (it is safe to call
+// more).
+func (a *admission) admit(tenant string) (g *admitGrant, charged, cause string, retryAfter time.Duration) {
+	globalOK, retry := a.bucket.take()
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	t := a.tenantFor(tenant)
 	c := t.class
+	if !globalOK {
+		t.shedRate++
+		return nil, t.name, ShedCauseRate, retry
+	}
 	// The per-tenant bucket takes under a.mu: bucket contention is per
 	// tenant and the critical section is tiny.
 	if ok, retry := t.bucket.take(); !ok {
-		a.shedRate++
 		t.shedRate++
-		c.shedRate++
-		a.mu.Unlock()
-		return nil, ShedCauseTenantRate, retry
+		return nil, t.name, ShedCauseTenantRate, retry
 	}
 	if q := c.cfg.MaxInflight; q > 0 && t.inflight >= q {
-		a.shedQuota++
 		t.shedQuota++
-		c.shedQuota++
-		a.mu.Unlock()
-		return nil, ShedCauseQuota, time.Second
+		return nil, t.name, ShedCauseQuota, time.Second
 	}
 	if c.held >= c.cfg.MaxQueue {
-		a.shedQueue++
 		t.shedQueue++
-		c.shedQueue++
-		a.mu.Unlock()
 		// The class queue is full of in-flight work; suggest retrying
 		// after a typical request's span rather than immediately.
-		return nil, ShedCauseQueue, time.Second
+		return nil, t.name, ShedCauseQueue, time.Second
 	}
 	c.held++
 	t.inflight++
-	a.accepted++
 	t.accepted++
-	c.accepted++
-	a.mu.Unlock()
-	return &admitGrant{a: a, t: t, c: c}, "", 0
+	return &admitGrant{a: a, t: t, c: c}, t.name, "", 0
 }
 
 // acquireWorker waits for a worker grant from the weighted-fair dequeuer,
@@ -342,7 +336,6 @@ func (a *admission) acquireWorker(g *admitGrant, done <-chan struct{}) bool {
 	w := &waiter{ready: make(chan struct{})}
 	a.mu.Lock()
 	g.c.waiters = append(g.c.waiters, w)
-	a.waiting++
 	a.dispatchLocked()
 	a.mu.Unlock()
 	select {
@@ -398,7 +391,6 @@ func (a *admission) nextWaiterLocked() (*waiter, *classState) {
 		// Drop abandoned waiters at the head; they spend no deficit.
 		for len(c.waiters) > 0 && c.waiters[0].state == 2 {
 			c.waiters = c.waiters[1:]
-			a.waiting--
 		}
 		if len(c.waiters) == 0 {
 			c.deficit = 0 // an empty class forfeits the rest of its round
@@ -411,7 +403,6 @@ func (a *admission) nextWaiterLocked() (*waiter, *classState) {
 		}
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
-		a.waiting--
 		c.deficit--
 		if c.deficit <= 0 {
 			a.rr = (a.rr + 1) % n // quantum spent: next class's turn
@@ -421,45 +412,39 @@ func (a *admission) nextWaiterLocked() (*waiter, *classState) {
 	return nil, nil
 }
 
-// count increments one aggregate counter.
-func (a *admission) count(c *uint64) {
-	a.mu.Lock()
-	*c++
-	a.mu.Unlock()
-}
-
-// countTimeout attributes a deadline expiry to the aggregate and, when the
-// request was admitted, its tenant.
+// countTimeout attributes an admitted request's deadline expiry to its
+// tenant.
 func (a *admission) countTimeout(g *admitGrant) {
 	a.mu.Lock()
-	a.timeouts++
-	if g != nil {
-		g.t.timeouts++
-	}
+	g.t.timeouts++
 	a.mu.Unlock()
 }
 
-// observe records one finished request's wait-for-worker and total spans,
-// in aggregate and against its tenant.
-func (a *admission) observe(g *admitGrant, wait, total time.Duration, failed bool) {
+// observe records one finished request's wait-for-worker and total spans
+// against its tenant, and returns the label its latency is filed under in
+// schedd_tenant_latency_seconds: the tenant's identity once it holds one
+// of the topKTenantSlots slots, overflowTenant otherwise. A tenant earns a
+// slot on its topKSlotThreshold-th finished request while slots remain.
+func (a *admission) observe(g *admitGrant, wait, total time.Duration, failed bool) string {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	t := g.t
 	if failed {
-		a.failed++
-		g.t.failed++
+		t.failed++
 	} else {
-		a.completed++
-		g.t.completed++
+		t.completed++
 	}
 	a.totalWait += wait
-	a.totalTotal += total
-	if total > a.maxTotal {
-		a.maxTotal = total
+	t.totalTotal += total
+	t.maxTotal = max(t.maxTotal, total)
+	if !t.slot && t.completed+t.failed >= topKSlotThreshold && a.slots < topKTenantSlots {
+		t.slot = true
+		a.slots++
 	}
-	g.t.totalTotal += total
-	if total > g.t.maxTotal {
-		g.t.maxTotal = total
+	if t.slot {
+		return t.name
 	}
+	return overflowTenant
 }
 
 // TenantStats is one tenant's admission accounting in /stats.
@@ -531,31 +516,22 @@ type AdmissionStats struct {
 func (a *admission) stats() AdmissionStats {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	st := AdmissionStats{
-		Accepted:      a.accepted,
-		ShedQueue:     a.shedQueue,
-		ShedRate:      a.shedRate,
-		ShedQuota:     a.shedQuota,
-		Timeouts:      a.timeouts,
-		Completed:     a.completed,
-		Failed:        a.failed,
-		QueueCapacity: a.totalCap,
-	}
-	for _, c := range a.classes {
+	st := AdmissionStats{QueueCapacity: a.totalCap}
+	classes := make(map[*classState]*ClassStats, len(a.classes))
+	st.Classes = make([]ClassStats, len(a.classes))
+	for i, c := range a.classes {
 		st.QueueDepth += c.held
-		st.Classes = append(st.Classes, ClassStats{
+		st.Classes[i] = ClassStats{
 			Class:         c.cfg.Name,
 			Weight:        c.cfg.Weight,
 			QueueDepth:    c.held,
 			QueueCapacity: c.cfg.MaxQueue,
 			Waiting:       len(c.waiters),
 			Granted:       c.granted,
-			Accepted:      c.accepted,
-			ShedRate:      c.shedRate,
-			ShedQueue:     c.shedQueue,
-			ShedQuota:     c.shedQuota,
-		})
+		}
+		classes[c] = &st.Classes[i]
 	}
+	var totalTotal, maxTotal time.Duration
 	for _, t := range a.tenants {
 		ts := TenantStats{
 			Tenant:    t.name,
@@ -574,12 +550,27 @@ func (a *admission) stats() AdmissionStats {
 		}
 		ts.MaxTotalMs = float64(t.maxTotal.Milliseconds())
 		st.Tenants = append(st.Tenants, ts)
+
+		cs := classes[t.class]
+		cs.Accepted += t.accepted
+		cs.ShedRate += t.shedRate
+		cs.ShedQueue += t.shedQueue
+		cs.ShedQuota += t.shedQuota
+		st.Accepted += t.accepted
+		st.ShedRate += t.shedRate
+		st.ShedQueue += t.shedQueue
+		st.ShedQuota += t.shedQuota
+		st.Timeouts += t.timeouts
+		st.Completed += t.completed
+		st.Failed += t.failed
+		totalTotal += t.totalTotal
+		maxTotal = max(maxTotal, t.maxTotal)
 	}
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
-	if n := a.completed + a.failed; n > 0 {
+	if n := st.Completed + st.Failed; n > 0 {
 		st.MeanWaitMs = float64(a.totalWait.Milliseconds()) / float64(n)
-		st.MeanTotalMs = float64(a.totalTotal.Milliseconds()) / float64(n)
+		st.MeanTotalMs = float64(totalTotal.Milliseconds()) / float64(n)
 	}
-	st.MaxTotalMs = float64(a.maxTotal.Milliseconds())
+	st.MaxTotalMs = float64(maxTotal.Milliseconds())
 	return st
 }

@@ -69,7 +69,7 @@ func admissionScript(t *testing.T, steps, snapshotAt int) []AdmissionStats {
 		clk = clk.Add(ms(rng.Intn(60)))
 		switch r := rng.Intn(100); {
 		case r < 45:
-			if g, _, _ := a.admit(pickTenant()); g != nil {
+			if g, _, _, _ := a.admit(pickTenant()); g != nil {
 				pending = append(pending, g)
 			}
 		case r < 65 && len(pending) > 0:

@@ -104,8 +104,19 @@ func (ks KeySet) Verify(tenant, presented string) error {
 	return nil
 }
 
+// claimedTenant is the tenant identity a request claims: the
+// X-Schedd-Tenant header, or ?tenant= for clients that cannot set headers.
+// Both tiers read it here, schedd to admit the request (parseTenant) and
+// the gateway to check its key (VerifyRequest).
+func claimedTenant(r *http.Request) string {
+	if tenant := r.Header.Get("X-Schedd-Tenant"); tenant != "" {
+		return tenant
+	}
+	return r.URL.Query().Get("tenant")
+}
+
 // tenantKeyFrom extracts the presented API key (query ?key= as a fallback
-// for clients that cannot set headers, mirroring parseTenant).
+// for clients that cannot set headers, mirroring claimedTenant).
 func tenantKeyFrom(r *http.Request) string {
 	if key := r.Header.Get(TenantKeyHeader); key != "" {
 		return key
@@ -113,12 +124,8 @@ func tenantKeyFrom(r *http.Request) string {
 	return r.URL.Query().Get("key")
 }
 
-// VerifyRequest applies Verify to a request's identity headers (the query
-// fallbacks mirror parseTenant's).
+// VerifyRequest applies Verify to a request's claimed identity and
+// presented key.
 func (ks KeySet) VerifyRequest(r *http.Request) error {
-	tenant := r.Header.Get("X-Schedd-Tenant")
-	if tenant == "" {
-		tenant = r.URL.Query().Get("tenant")
-	}
-	return ks.Verify(tenant, tenantKeyFrom(r))
+	return ks.Verify(claimedTenant(r), tenantKeyFrom(r))
 }

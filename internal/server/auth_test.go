@@ -211,33 +211,6 @@ func TestShardIdentity(t *testing.T) {
 	}
 }
 
-// TestTopKTracker pins the slot-granting rules of the bounded-cardinality
-// tenant histogram: sustained volume earns a dedicated label, one-off names
-// stay in overflow, and slots are finite.
-func TestTopKTracker(t *testing.T) {
-	tr := newTopKTracker(2, 3)
-	for i := 0; i < 2; i++ {
-		if got := tr.labelFor("hot"); got != overflowTenant {
-			t.Fatalf("observation %d of hot: label %q before threshold", i, got)
-		}
-	}
-	if got := tr.labelFor("hot"); got != "hot" {
-		t.Fatalf("threshold-crossing observation: label %q, want hot", got)
-	}
-	if got := tr.labelFor("hot"); got != "hot" {
-		t.Fatalf("slot not sticky: %q", got)
-	}
-	// Second slot to warm2, then the table is full: warm3 can never graduate.
-	for i := 0; i < 3; i++ {
-		tr.labelFor("warm2")
-	}
-	for i := 0; i < 10; i++ {
-		if got := tr.labelFor("warm3"); got != overflowTenant {
-			t.Fatalf("warm3 got label %q with all slots taken", got)
-		}
-	}
-}
-
 // TestTenantLatencyMetric drives enough traffic through one tenant to earn a
 // dedicated histogram label and checks the scrape: the hot tenant appears by
 // name, the one-off tenant only in the overflow label.

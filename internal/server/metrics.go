@@ -16,7 +16,6 @@ package server
 
 import (
 	"net/http"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/robust"
@@ -31,68 +30,16 @@ type metrics struct {
 	breakerFlips   *obs.CounterVec   // by destination state
 	tracedRequests *obs.Counter
 
-	// Tenant QoS series. Histograms are labelled by class (bounded
-	// cardinality); counters and gauges by tenant, whose cardinality the
-	// admission layer caps at maxTrackedTenants.
+	// Tenant QoS series, labelled by class or by the identity admission
+	// charged (tenantState.name), whose cardinality the admission layer
+	// caps at maxTrackedTenants plus one overflow identity per class.
 	tenantSeconds *obs.HistogramVec // by class
 	tenantShed    *obs.CounterVec   // by tenant, cause (event-driven)
-
-	// Per-tenant latency percentiles, cardinality-bounded by topK: the K
-	// busiest tenants earn a dedicated label, everyone else lands in the
+	// Per-tenant latency percentiles: the busiest tenants hold a dedicated
+	// label (admission.observe grants it), everyone else shares the
 	// overflow label — so p99-by-tenant is scrapeable without letting an
 	// identity flood mint unbounded histogram series.
-	tenantLatency *obs.HistogramVec // by tenant (top-K + overflow)
-	topK          *topKTracker
-}
-
-// Bounds for the per-tenant latency histogram: at most topKTenantSlots
-// dedicated labels, each earned only after topKSlotThreshold requests, so a
-// one-off name can never burn a slot.
-const (
-	topKTenantSlots   = 8
-	topKSlotThreshold = 16
-)
-
-// topKTracker grants dedicated histogram labels to the first K tenants that
-// prove sustained volume. Histogram observations cannot be re-homed between
-// labels, so slots are granted once and never revoked; a tenant's
-// observations before it earns its slot stay in the overflow label.
-type topKTracker struct {
-	mu        sync.Mutex
-	k         int
-	threshold uint64
-	counts    map[string]uint64
-	slots     map[string]bool
-}
-
-func newTopKTracker(k int, threshold uint64) *topKTracker {
-	return &topKTracker{
-		k:         k,
-		threshold: threshold,
-		counts:    make(map[string]uint64),
-		slots:     make(map[string]bool),
-	}
-}
-
-// labelFor returns the histogram label for one observation by tenant: the
-// tenant itself once it has earned a slot, the overflow label otherwise.
-// The count map is bounded like the admission layer's tenant map, so a
-// label-flood attack costs at most maxTrackedTenants counter cells.
-func (t *topKTracker) labelFor(tenant string) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.slots[tenant] {
-		return tenant
-	}
-	if _, known := t.counts[tenant]; !known && len(t.counts) >= maxTrackedTenants {
-		return overflowTenant
-	}
-	t.counts[tenant]++
-	if t.counts[tenant] >= t.threshold && len(t.slots) < t.k {
-		t.slots[tenant] = true
-		return tenant
-	}
-	return overflowTenant
+	tenantLatency *obs.HistogramVec
 }
 
 // newMetrics registers every series and installs the scrape-time sync from
@@ -115,7 +62,6 @@ func newMetrics(s *Server) *metrics {
 			"Requests shed by admission control, by tenant and cause.", "tenant", "cause"),
 		tenantLatency: reg.HistogramVec("schedd_tenant_latency_seconds",
 			"Admission-to-response latency by tenant: dedicated labels for the busiest tenants, the rest under the overflow label.", nil, "tenant"),
-		topK: newTopKTracker(topKTenantSlots, topKSlotThreshold),
 	}
 
 	// Admission counters and queue gauges.
@@ -128,8 +74,7 @@ func newMetrics(s *Server) *metrics {
 	queueCap := reg.Gauge("schedd_queue_capacity", "Bound of the admission queue.")
 
 	// Tenant QoS counters and class-queue gauges, mirrored from the
-	// admission snapshot at scrape time (tenant cardinality is bounded by
-	// the admission layer's tenant-map cap).
+	// admission snapshot at scrape time.
 	tenantRequests := reg.CounterVec("schedd_tenant_requests_total",
 		"Admitted requests finished, by tenant and outcome.", "tenant", "outcome")
 	tenantAccepted := reg.CounterVec("schedd_tenant_accepted_total",
@@ -257,23 +202,20 @@ func (m *metrics) observeBreaker(key string, from, to robust.BreakerState) {
 	m.breakerFlips.With(string(to)).Inc()
 }
 
-// observeRequest records one finished /schedule request.
-func (m *metrics) observeRequest(tenant, class string, seconds float64, failed bool) {
+// observeRequest records one finished /schedule request; latencyLabel is
+// the tenant label admission.observe returned for it.
+func (m *metrics) observeRequest(latencyLabel, class string, seconds float64, failed bool) {
 	outcome := "ok"
 	if failed {
 		outcome = "error"
 	}
 	m.requestSeconds.With(outcome).Observe(seconds)
-	if class != "" {
-		m.tenantSeconds.With(class).Observe(seconds)
-	}
-	if tenant != "" {
-		m.tenantLatency.With(m.topK.labelFor(tenant)).Observe(seconds)
-	}
+	m.tenantSeconds.With(class).Observe(seconds)
+	m.tenantLatency.With(latencyLabel).Observe(seconds)
 }
 
 // observeShed records one 429 at the moment it is shed, attributed to the
-// tenant and the admission bound that rejected it.
+// identity admission charged and the bound that rejected it.
 func (m *metrics) observeShed(tenant, cause string) {
 	m.tenantShed.With(tenant, cause).Inc()
 }

@@ -23,6 +23,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -54,8 +55,9 @@ const MaxBodyBytes = 1 << 20
 // Config configures a Server. The zero value of every field selects a
 // sensible production default.
 type Config struct {
-	// Workers caps concurrently scheduling requests. Default GOMAXPROCS
-	// (via engine semantics: 0 lets newAdmission clamp to MaxQueue).
+	// Workers caps concurrently scheduling requests. Default MaxQueue,
+	// so every admitted request can run at once; admission clamps it to
+	// the sum of the class queue bounds.
 	Workers int
 	// MaxQueue caps admitted-but-unfinished requests (waiting + running).
 	// Default 64.
@@ -524,16 +526,12 @@ type scheduleRequest struct {
 	trace    bool          // attach the observability trace to the response
 }
 
-// parseTenant extracts and validates the request's tenant identity from the
-// X-Schedd-Tenant header (query ?tenant= as a fallback for clients that
-// cannot set headers). Absence is fine — the anonymous identity in the
-// default class — but a present, malformed identity is a 400: admission
-// accounting must never be attributed to a garbage name.
+// parseTenant extracts and validates the request's claimed tenant
+// identity. Absence is fine — the anonymous identity in the default class —
+// but a present, malformed identity is a 400: admission accounting must
+// never be attributed to a garbage name.
 func parseTenant(r *http.Request) (string, error) {
-	tenant := r.Header.Get("X-Schedd-Tenant")
-	if tenant == "" {
-		tenant = r.URL.Query().Get("tenant")
-	}
+	tenant := claimedTenant(r)
 	if tenant == "" {
 		return "", nil
 	}
@@ -683,19 +681,19 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 
 	// Admission: global rate limit, then the tenant's own bucket, quota,
 	// and class queue. Shed explicitly, attributed to tenant and cause.
-	grant, cause, retry := s.adm.admit(tenant)
+	grant, charged, cause, retry := s.adm.admit(tenant)
 	if grant == nil {
-		shownTenant := tenant
-		if shownTenant == "" {
-			shownTenant = AnonymousTenant
-		}
+		// The metric carries the bounded identity admission charged; the
+		// body names the client's own claim, which only a headerless
+		// request lacks.
+		s.metrics.observeShed(charged, cause)
+		shown := cmp.Or(tenant, charged)
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry.Seconds()))))
-		s.metrics.observeShed(shownTenant, cause)
 		writeError(w, http.StatusTooManyRequests, errorJSON{
 			Kind:    "shed",
-			Message: fmt.Sprintf("overloaded, request shed by admission control (%s, tenant %s)", cause, shownTenant),
+			Message: fmt.Sprintf("overloaded, request shed by admission control (%s, tenant %s)", cause, shown),
 			Cause:   cause,
-			Tenant:  shownTenant,
+			Tenant:  shown,
 		})
 		return
 	}
@@ -766,8 +764,8 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	res := s.engine.Schedule(ctx, job)
 	total := time.Since(t0)
-	s.adm.observe(grant, wait, total, res.Err != nil)
-	s.metrics.observeRequest(req.tenant, req.class, total.Seconds(), res.Err != nil)
+	label := s.adm.observe(grant, wait, total, res.Err != nil)
+	s.metrics.observeRequest(label, req.class, total.Seconds(), res.Err != nil)
 	s.metrics.observeReport(res.Report)
 
 	if res.Err != nil {

@@ -538,7 +538,7 @@ func TestBadSchedulerRejectedBeforeWorkerWait(t *testing.T) {
 	s := New(Config{Workers: 1})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	grant, cause, _ := s.adm.admit("")
+	grant, _, cause, _ := s.adm.admit("")
 	if grant == nil {
 		t.Fatalf("holder not admitted: %s", cause)
 	}

@@ -115,7 +115,6 @@ func TestDRRDequeueOrder(t *testing.T) {
 		for i := range ws {
 			ws[i] = &waiter{ready: make(chan struct{})}
 			c.waiters = append(c.waiters, ws[i])
-			a.waiting++
 		}
 		return ws
 	}
@@ -176,7 +175,6 @@ func TestDRRSkipsAbandonedWaiters(t *testing.T) {
 	w1 := &waiter{ready: make(chan struct{}), state: 2} // abandoned
 	w2 := &waiter{ready: make(chan struct{})}
 	gold.waiters = append(gold.waiters, w1, w2)
-	a.waiting += 2
 	a.mu.Unlock()
 
 	a.releaseWorker()
@@ -194,10 +192,10 @@ func TestPerTenantRateBucket(t *testing.T) {
 		Tenants: map[string]string{"t1": "metered", "t2": "metered"},
 	}, 64, 4, 0, 0, time.Now)
 
-	if g, cause, _ := a.admit("t1"); g == nil {
+	if g, _, cause, _ := a.admit("t1"); g == nil {
 		t.Fatalf("t1 first admit shed: %s", cause)
 	}
-	g, cause, retry := a.admit("t1")
+	g, _, cause, retry := a.admit("t1")
 	if g != nil || cause != ShedCauseTenantRate {
 		t.Fatalf("t1 second admit: grant=%v cause=%q, want tenant-rate shed", g != nil, cause)
 	}
@@ -205,7 +203,7 @@ func TestPerTenantRateBucket(t *testing.T) {
 		t.Error("tenant-rate shed carries no Retry-After hint")
 	}
 	// t2 has its own bucket: t1 exhausting its tokens must not shed t2.
-	if g, cause, _ := a.admit("t2"); g == nil {
+	if g, _, cause, _ := a.admit("t2"); g == nil {
 		t.Fatalf("t2 collateral shed: %s", cause)
 	}
 	st := a.stats()
@@ -225,21 +223,21 @@ func TestPerTenantInflightQuota(t *testing.T) {
 		Tenants: map[string]string{"greedy": "ltd", "modest": "ltd"},
 	}, 64, 8, 0, 0, time.Now)
 
-	g1, _, _ := a.admit("greedy")
-	g2, _, _ := a.admit("greedy")
+	g1, _, _, _ := a.admit("greedy")
+	g2, _, _, _ := a.admit("greedy")
 	if g1 == nil || g2 == nil {
 		t.Fatal("admits within quota shed")
 	}
-	g3, cause, _ := a.admit("greedy")
+	g3, _, cause, _ := a.admit("greedy")
 	if g3 != nil || cause != ShedCauseQuota {
 		t.Fatalf("over-quota admit: grant=%v cause=%q, want quota shed", g3 != nil, cause)
 	}
 	// The quota is per tenant, not per class: modest is unaffected.
-	if g, cause, _ := a.admit("modest"); g == nil {
+	if g, _, cause, _ := a.admit("modest"); g == nil {
 		t.Fatalf("modest shed by greedy's quota: %s", cause)
 	}
 	g1.release()
-	if g, cause, _ := a.admit("greedy"); g == nil {
+	if g, _, cause, _ := a.admit("greedy"); g == nil {
 		t.Fatalf("admit after release shed: %s", cause)
 	}
 	if st := a.stats(); st.ShedQuota != 1 {
@@ -253,15 +251,15 @@ func TestClassQueueBoundSheds(t *testing.T) {
 		Tenants: map[string]string{"s1": "small", "s2": "small", "b1": "big"},
 	}, 64, 4, 0, 0, time.Now)
 
-	if g, cause, _ := a.admit("s1"); g == nil {
+	if g, _, cause, _ := a.admit("s1"); g == nil {
 		t.Fatalf("s1 shed: %s", cause)
 	}
-	g, cause, _ := a.admit("s2")
+	g, _, cause, _ := a.admit("s2")
 	if g != nil || cause != ShedCauseQueue {
 		t.Fatalf("small-class overflow: grant=%v cause=%q, want queue shed", g != nil, cause)
 	}
 	// The shed isolates to the full class.
-	if g, cause, _ := a.admit("b1"); g == nil {
+	if g, _, cause, _ := a.admit("b1"); g == nil {
 		t.Fatalf("b1 collateral shed: %s", cause)
 	}
 }
@@ -269,7 +267,7 @@ func TestClassQueueBoundSheds(t *testing.T) {
 // TestGrantReleaseIdempotent: double release must not free two slots.
 func TestGrantReleaseIdempotent(t *testing.T) {
 	a := newAdmission(TenantConfig{}, 4, 4, 0, 0, time.Now)
-	g, _, _ := a.admit("")
+	g, _, _, _ := a.admit("")
 	if g == nil {
 		t.Fatal("admit failed")
 	}

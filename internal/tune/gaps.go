@@ -36,12 +36,12 @@ type GapResult struct {
 
 // SearchGaps runs the oracle-guided tuning mode: it first obtains a
 // certified lower bound for every suite kernel from the optimality oracle,
-// then hill-climbs pass sequences exactly as Search does (cached through
-// the engine when one is provided) with the suite bound as an early-stop
-// target, and reports costs as optimality gaps. Minimizing total cost and
-// minimizing total gap are the same search — the bound is a constant — but
-// the gap makes the result meaningful: it says how far from proven-optimal
-// the sequence sits, not just that it beat another heuristic.
+// then hill-climbs pass sequences exactly as Search does with the suite
+// bound as an early-stop target, and reports costs as optimality gaps.
+// Minimizing total cost and minimizing total gap are the same search — the
+// bound is a constant — but the gap makes the result meaningful: it says
+// how far from proven-optimal the sequence sits, not just that it beat
+// another heuristic.
 func SearchGaps(opt Options, oracleOpt oracle.Options) (*GapResult, error) {
 	if err := opt.withDefaults(); err != nil {
 		return nil, err

@@ -44,11 +44,11 @@ type Options struct {
 	MinLen, MaxLen int
 	// Log, when non-nil, receives one line per accepted improvement.
 	Log func(string)
-	// Engine, when non-nil, evaluates candidates through the batch engine:
-	// the suite's kernels schedule concurrently and the content-addressed
-	// cache memoizes kernel-x-sequence evaluations across the search (hill
-	// climbing re-proposes equivalent sequences constantly). Costs are
-	// identical to the serial path.
+	// Engine evaluates candidates: the suite's kernels schedule
+	// concurrently and the content-addressed cache memoizes
+	// kernel-x-sequence evaluations across the search (hill climbing
+	// re-proposes equivalent sequences constantly). Nil means a private
+	// engine without a cache.
 	Engine *engine.Engine
 	// Target, when positive, stops the search as soon as the best cost
 	// reaches it. The oracle-guided mode sets this to the suite's
@@ -99,32 +99,17 @@ func (o *Options) withDefaults() error {
 			o.Start = append(o.Start, p.Name())
 		}
 	}
+	if o.Engine == nil {
+		o.Engine = engine.New(0, 0)
+	}
 	return nil
 }
 
-// Cost evaluates a sequence: the summed schedule length over the suite, or
-// an error if any label is unknown or any kernel fails to schedule.
-func Cost(m *machine.Model, kernels []bench.Kernel, labels []string, seed int64) (int, error) {
-	seq, err := sequenceFor(labels)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, k := range kernels {
-		g := k.Build(m.NumClusters)
-		s, _, err := core.Schedule(g, m, seq, seed)
-		if err != nil {
-			return 0, fmt.Errorf("tune: %s: %w", k.Name, err)
-		}
-		total += s.Length()
-	}
-	return total, nil
-}
-
-// CostWith evaluates a sequence through the batch engine. The single-rung
-// ladder has no fallback on purpose: a sequence that fails to schedule must
-// be an error, exactly as in Cost — silent degradation to a baseline would
-// score the fallback rung and re-label the candidate being searched.
+// CostWith evaluates a sequence through the batch engine: the summed
+// schedule length over the suite, or an error if any label is unknown or
+// any kernel fails to schedule. The single-rung ladder has no fallback on
+// purpose: silent degradation to a baseline would score the fallback rung
+// and re-label the candidate being searched.
 func CostWith(e *engine.Engine, m *machine.Model, kernels []bench.Kernel, labels []string, seed int64) (int, error) {
 	seq, err := sequenceFor(labels)
 	if err != nil {
@@ -174,10 +159,7 @@ func Search(opt Options) (*Result, error) {
 	rng := rand.New(rand.NewSource(opt.Seed))
 	labels := passes.AllLabels()
 	evalCost := func(labels []string) (int, error) {
-		if opt.Engine != nil {
-			return CostWith(opt.Engine, opt.Machine, opt.Kernels, labels, opt.Seed)
-		}
-		return Cost(opt.Machine, opt.Kernels, labels, opt.Seed)
+		return CostWith(opt.Engine, opt.Machine, opt.Kernels, labels, opt.Seed)
 	}
 
 	cur := append([]string(nil), opt.Start...)

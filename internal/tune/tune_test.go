@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/machine"
 )
@@ -22,10 +23,31 @@ func suite(t *testing.T, names ...string) []bench.Kernel {
 	return out
 }
 
+// serialCost is the summed schedule length of the suite under a sequence,
+// scheduled one kernel at a time by core.Schedule: the reference CostWith
+// is compared against.
+func serialCost(t *testing.T, m *machine.Model, kernels []bench.Kernel, labels []string, seed int64) int {
+	t.Helper()
+	seq, err := sequenceFor(labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, k := range kernels {
+		s, _, err := core.Schedule(k.Build(m.NumClusters), m, seq, seed)
+		if err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		total += s.Length()
+	}
+	return total
+}
+
 func TestCostMatchesSingleRun(t *testing.T) {
 	m := machine.Chorus(4)
 	ks := suite(t, "vvmul")
-	c1, err := Cost(m, ks, []string{"INITTIME", "NOISE", "PLACE", "EMPHCP"}, 7)
+	e := engine.New(1, 0)
+	c1, err := CostWith(e, m, ks, []string{"INITTIME", "NOISE", "PLACE", "EMPHCP"}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +55,7 @@ func TestCostMatchesSingleRun(t *testing.T) {
 		t.Errorf("cost = %d", c1)
 	}
 	// Deterministic for the same seed.
-	c2, err := Cost(m, ks, []string{"INITTIME", "NOISE", "PLACE", "EMPHCP"}, 7)
+	c2, err := CostWith(e, m, ks, []string{"INITTIME", "NOISE", "PLACE", "EMPHCP"}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +66,7 @@ func TestCostMatchesSingleRun(t *testing.T) {
 
 func TestCostRejectsUnknownPass(t *testing.T) {
 	m := machine.Chorus(4)
-	if _, err := Cost(m, suite(t, "vvmul"), []string{"WARP"}, 1); err == nil {
+	if _, err := CostWith(engine.New(1, 0), m, suite(t, "vvmul"), []string{"WARP"}, 1); err == nil {
 		t.Error("unknown pass accepted")
 	}
 }
@@ -75,11 +97,7 @@ func TestSearchNeverWorsens(t *testing.T) {
 		prev = st.Cost
 	}
 	// Best must reproduce its cost.
-	c, err := Cost(m, suite(t, "vvmul", "yuv"), res.Best, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != res.BestCost {
+	if c := serialCost(t, m, suite(t, "vvmul", "yuv"), res.Best, 3); c != res.BestCost {
 		t.Errorf("best cost not reproducible: %d vs %d", c, res.BestCost)
 	}
 }
@@ -132,10 +150,7 @@ func TestCostWithMatchesCost(t *testing.T) {
 	m := machine.Chorus(4)
 	ks := suite(t, "vvmul", "fir")
 	labels := []string{"INITTIME", "NOISE", "PLACE", "EMPHCP"}
-	want, err := Cost(m, ks, labels, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := serialCost(t, m, ks, labels, 7)
 	e := engine.New(2, 32)
 	got, err := CostWith(e, m, ks, labels, 7)
 	if err != nil {
