@@ -13,10 +13,10 @@ import (
 type entry struct {
 	// placements[rank] is the placement of the instruction with canonical
 	// position rank.
-	placements []schedule.Placement
+	placements []placement32
 	// comms are the schedule's communications with Value remapped to
 	// canonical positions.
-	comms []schedule.Comm
+	comms []comm32
 	// served names the ladder rung that produced the schedule.
 	served string
 	// fromStore marks an entry replayed from the crash-safe store at
@@ -33,6 +33,35 @@ type entry struct {
 	// never mutated by the engine, so holding the pointer is safe and free.
 	text string
 	mach *machine.Model
+}
+
+// placement32 and comm32 are schedule.Placement and schedule.Comm narrowed
+// to int32 fields, which is how an entry holds them: 16 B per instruction
+// and 20 B per comm rather than 32 and 40. Every field of a real schedule
+// fits; a schedule with one that does not is served uncached, and a record
+// with one is rejected, never truncated.
+type placement32 struct{ cluster, fu, start, latency int32 }
+
+type comm32 struct{ value, from, to, depart, arrive int32 }
+
+func (p placement32) wide() schedule.Placement {
+	return schedule.Placement{Cluster: int(p.cluster), FU: int(p.fu), Start: int(p.start), Latency: int(p.latency)}
+}
+
+func (c comm32) wide() schedule.Comm {
+	return schedule.Comm{Value: int(c.value), From: int(c.from), To: int(c.to), Depart: int(c.depart), Arrive: int(c.arrive)}
+}
+
+// narrowPlacement and narrowComm convert to entry form, reporting false
+// when a field does not survive the round trip through int32.
+func narrowPlacement(p schedule.Placement) (placement32, bool) {
+	q := placement32{int32(p.Cluster), int32(p.FU), int32(p.Start), int32(p.Latency)}
+	return q, q.wide() == p
+}
+
+func narrowComm(c schedule.Comm) (comm32, bool) {
+	q := comm32{int32(c.Value), int32(c.From), int32(c.To), int32(c.Depart), int32(c.Arrive)}
+	return q, q.wide() == c
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -52,7 +81,9 @@ type Stats struct {
 	// collision or an order ambiguity — and were recomputed from scratch.
 	Collisions uint64
 	// Uncacheable counts requests that bypassed the cache (opaque custom
-	// ladders or verify memories without an identity).
+	// ladders or verify memories without an identity), and requests served
+	// a computed schedule with a value an entry's int32 fields cannot hold;
+	// the leader of such a flight is counted as a miss as well.
 	Uncacheable uint64
 	// Detached counts singleflight waiters that gave up (their context
 	// ended) before the flight's leader finished; the leader's result was

@@ -25,6 +25,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -232,7 +233,10 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 			return entry{}, err
 		}
 		mine = s
-		ent := canonicalize(s, rep.Served, canon)
+		ent, ok := canonicalize(s, rep.Served, canon)
+		if !ok {
+			return entry{}, errWide
+		}
 		// The graph's text and the machine make the entry exportable to a
 		// cluster peer and the store (export.go); they do not affect
 		// rehydration. Rendering here, once, keeps the entry from pinning
@@ -257,6 +261,16 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 		e.cache.count(&e.cache.detached)
 		tr.SetCachePath(obs.CacheDetached)
 		res.Err, res.Shared = err, true
+	case err == errWide:
+		// The schedule holds a value no entry can: the leader serves its
+		// own, and a waiter, which cannot rehydrate it, computes.
+		e.cache.count(&e.cache.uncacheable)
+		tr.SetCachePath(obs.CacheUncacheable)
+		if shared {
+			e.compute(ctx, job, &res)
+		} else {
+			res.Schedule, res.Report, res.Served = mine, myRep, myRep.Served
+		}
 	case !shared:
 		tr.SetCachePath(obs.CacheMiss)
 		res.Schedule, res.Report, res.Err = mine, myRep, err
@@ -283,6 +297,10 @@ func (e *Engine) Schedule(ctx context.Context, job Job) Result {
 	res.Elapsed = time.Since(t0)
 	return res
 }
+
+// errWide is the flight result for a computed schedule with a value that
+// does not fit an entry's int32 fields; it never reaches a caller.
+var errWide = errors.New("engine: schedule does not fit a cache entry")
 
 // compute runs the resilient driver directly, bypassing cache and flights.
 func (e *Engine) compute(ctx context.Context, job Job, res *Result) {
@@ -340,23 +358,32 @@ func (e *Engine) keyFor(job Job) (string, ir.Canonical, bool) {
 	return string(h.Sum(nil)), canon, true
 }
 
-// canonicalize stores a schedule in canonical instruction order.
-func canonicalize(s *schedule.Schedule, served string, canon ir.Canonical) entry {
-	pl := make([]schedule.Placement, len(s.Placements))
+// canonicalize stores a schedule in canonical instruction order. It reports
+// false when a value does not fit the entry's int32 fields.
+func canonicalize(s *schedule.Schedule, served string, canon ir.Canonical) (entry, bool) {
+	pl := make([]placement32, len(s.Placements))
 	for i, p := range s.Placements {
-		pl[canon.Order[i]] = p
+		q, ok := narrowPlacement(p)
+		if !ok {
+			return entry{}, false
+		}
+		pl[canon.Order[i]] = q
 	}
 	// A nil comm list stays nil so rehydration reproduces the driver's
 	// output byte for byte (reflect.DeepEqual separates nil from empty).
-	var comms []schedule.Comm
+	var comms []comm32
 	if len(s.Comms) > 0 {
-		comms = make([]schedule.Comm, len(s.Comms))
+		comms = make([]comm32, len(s.Comms))
 		for k, c := range s.Comms {
 			c.Value = canon.Order[c.Value]
-			comms[k] = c
+			q, ok := narrowComm(c)
+			if !ok {
+				return entry{}, false
+			}
+			comms[k] = q
 		}
 	}
-	return entry{placements: pl, comms: comms, served: served}
+	return entry{placements: pl, comms: comms, served: served}, true
 }
 
 // rehydrate maps a canonical entry onto the requesting graph's numbering and
@@ -369,7 +396,7 @@ func rehydrate(ent entry, job Job, canon ir.Canonical) (*schedule.Schedule, erro
 	}
 	pl := make([]schedule.Placement, n)
 	for i := 0; i < n; i++ {
-		pl[i] = ent.placements[canon.Order[i]]
+		pl[i] = ent.placements[canon.Order[i]].wide()
 	}
 	var comms []schedule.Comm
 	if len(ent.comms) > 0 {
@@ -379,8 +406,8 @@ func rehydrate(ent entry, job Job, canon ir.Canonical) (*schedule.Schedule, erro
 		}
 		comms = make([]schedule.Comm, len(ent.comms))
 		for k, c := range ent.comms {
-			c.Value = inv[c.Value]
-			comms[k] = c
+			comms[k] = c.wide()
+			comms[k].Value = inv[c.value]
 		}
 	}
 	cand := &schedule.Schedule{Placements: pl, Comms: comms}

@@ -14,6 +14,7 @@ import (
 	"errors"
 
 	"repro/internal/machine"
+	"repro/internal/schedule"
 	"repro/internal/store"
 )
 
@@ -50,13 +51,24 @@ func exportRecord(key string, ent entry) (*store.Record, bool) {
 	if err != nil || named.Fingerprint() != fp {
 		return nil, false
 	}
+	pl := make([]schedule.Placement, len(ent.placements))
+	for i, p := range ent.placements {
+		pl[i] = p.wide()
+	}
+	var comms []schedule.Comm
+	if len(ent.comms) > 0 {
+		comms = make([]schedule.Comm, len(ent.comms))
+		for k, c := range ent.comms {
+			comms[k] = c.wide()
+		}
+	}
 	return &store.Record{
 		Key:         []byte(key),
 		Machine:     ent.mach.Name,
 		Fingerprint: fp,
 		Served:      ent.served,
-		Placements:  ent.placements,
-		Comms:       ent.comms,
+		Placements:  pl,
+		Comms:       comms,
 		Graph:       []byte(ent.text),
 	}, true
 }

@@ -189,8 +189,27 @@ func verifyRecord(rec *store.Record) (entry, error) {
 	if err != nil {
 		return entry{}, fmt.Errorf("%w: embedded graph: %v", store.ErrCorrupt, err)
 	}
-	ent := entry{placements: rec.Placements, comms: rec.Comms, served: rec.Served,
-		fromStore: true, mach: m}
+	ent := entry{served: rec.Served, fromStore: true, mach: m}
+	// An entry cannot hold a value beyond int32, so a record with one is
+	// rejected rather than truncated.
+	ent.placements = make([]placement32, len(rec.Placements))
+	for i, p := range rec.Placements {
+		q, ok := narrowPlacement(p)
+		if !ok {
+			return entry{}, fmt.Errorf("%w: placement %d out of int32 range", store.ErrCorrupt, i)
+		}
+		ent.placements[i] = q
+	}
+	if len(rec.Comms) > 0 {
+		ent.comms = make([]comm32, len(rec.Comms))
+		for k, c := range rec.Comms {
+			q, ok := narrowComm(c)
+			if !ok {
+				return entry{}, fmt.Errorf("%w: comm %d out of int32 range", store.ErrCorrupt, k)
+			}
+			ent.comms[k] = q
+		}
+	}
 	if _, err := rehydrate(ent, Job{Graph: g, Machine: m}, g.Canonical()); err != nil {
 		return entry{}, fmt.Errorf("legality gate rejected record: %w", err)
 	}

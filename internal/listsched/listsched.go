@@ -105,9 +105,14 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 	n := g.Len()
 	// pending[i] counts unplaced predecessors; candidates hold
 	// instructions whose predecessors are all placed, in priority order.
-	// est[i] is candidate i's last probed earliest start.
-	pending := make([]int, n)
-	est := make([]int, n)
+	// est[i] is candidate i's last probed earliest start. noFU[cl*ir.NumOps
+	// +op] is cycle+1 once FindFU has failed for the opcode on the cluster
+	// in this cycle: placements and comm commits within a cycle only take
+	// units, never release them, so the first failure answers every later
+	// candidate of the cycle, and the stamp expires with its cycle without
+	// any clearing. The three share one allocation.
+	work := make([]int, 2*n+m.NumClusters*ir.NumOps)
+	pending, est, noFU := work[:n:n], work[n:2*n:2*n], work[2*n:]
 	candidates := make([]int, 0, n)
 	merged := make([]int, 0, n)
 	fresh := make([]int, 0, n)
@@ -147,7 +152,13 @@ func Run(g *ir.Graph, m *machine.Model, opt Options) (*schedule.Schedule, error)
 				continue
 			}
 			cl := opt.Assignment[i]
-			fu := t.FindFU(g.Instrs[i].Op, cl, cycle)
+			op := g.Instrs[i].Op
+			fu := -1
+			if memo := cl*ir.NumOps + int(op); noFU[memo] != cycle+1 {
+				if fu = t.FindFU(op, cl, cycle); fu < 0 {
+					noFU[memo] = cycle + 1
+				}
+			}
 			if fu < 0 {
 				kept = append(kept, i)
 				wake = cycle + 1

@@ -513,11 +513,17 @@ type AdmissionStats struct {
 	Tenants []TenantStats `json:"tenants,omitempty"`
 }
 
+// stats copies the rows and totals under a.mu and does everything else —
+// the sums, the means and the sort by tenant name — after unlocking, so a
+// /stats scrape holds admission up for one copy of the tenant table only.
 func (a *admission) stats() AdmissionStats {
+	type tenantRow struct {
+		class                *classState // only compared once unlocked
+		totalTotal, maxTotal time.Duration
+	}
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	st := AdmissionStats{QueueCapacity: a.totalCap}
-	classes := make(map[*classState]*ClassStats, len(a.classes))
+	classIndex := make(map[*classState]int, len(a.classes))
 	st.Classes = make([]ClassStats, len(a.classes))
 	for i, c := range a.classes {
 		st.QueueDepth += c.held
@@ -529,11 +535,15 @@ func (a *admission) stats() AdmissionStats {
 			Waiting:       len(c.waiters),
 			Granted:       c.granted,
 		}
-		classes[c] = &st.Classes[i]
+		classIndex[c] = i
 	}
-	var totalTotal, maxTotal time.Duration
+	var rows []tenantRow
+	if len(a.tenants) > 0 {
+		st.Tenants = make([]TenantStats, 0, len(a.tenants))
+		rows = make([]tenantRow, 0, len(a.tenants))
+	}
 	for _, t := range a.tenants {
-		ts := TenantStats{
+		st.Tenants = append(st.Tenants, TenantStats{
 			Tenant:    t.name,
 			Class:     t.class.cfg.Name,
 			Accepted:  t.accepted,
@@ -544,31 +554,38 @@ func (a *admission) stats() AdmissionStats {
 			Completed: t.completed,
 			Failed:    t.failed,
 			Inflight:  t.inflight,
-		}
-		if n := t.completed + t.failed; n > 0 {
-			ts.MeanTotalMs = float64(t.totalTotal.Milliseconds()) / float64(n)
-		}
-		ts.MaxTotalMs = float64(t.maxTotal.Milliseconds())
-		st.Tenants = append(st.Tenants, ts)
+		})
+		rows = append(rows, tenantRow{t.class, t.totalTotal, t.maxTotal})
+	}
+	totalWait := a.totalWait
+	a.mu.Unlock()
 
-		cs := classes[t.class]
-		cs.Accepted += t.accepted
-		cs.ShedRate += t.shedRate
-		cs.ShedQueue += t.shedQueue
-		cs.ShedQuota += t.shedQuota
-		st.Accepted += t.accepted
-		st.ShedRate += t.shedRate
-		st.ShedQueue += t.shedQueue
-		st.ShedQuota += t.shedQuota
-		st.Timeouts += t.timeouts
-		st.Completed += t.completed
-		st.Failed += t.failed
-		totalTotal += t.totalTotal
-		maxTotal = max(maxTotal, t.maxTotal)
+	var totalTotal, maxTotal time.Duration
+	for i := range st.Tenants {
+		ts, row := &st.Tenants[i], rows[i]
+		if n := ts.Completed + ts.Failed; n > 0 {
+			ts.MeanTotalMs = float64(row.totalTotal.Milliseconds()) / float64(n)
+		}
+		ts.MaxTotalMs = float64(row.maxTotal.Milliseconds())
+
+		cs := &st.Classes[classIndex[row.class]]
+		cs.Accepted += ts.Accepted
+		cs.ShedRate += ts.ShedRate
+		cs.ShedQueue += ts.ShedQueue
+		cs.ShedQuota += ts.ShedQuota
+		st.Accepted += ts.Accepted
+		st.ShedRate += ts.ShedRate
+		st.ShedQueue += ts.ShedQueue
+		st.ShedQuota += ts.ShedQuota
+		st.Timeouts += ts.Timeouts
+		st.Completed += ts.Completed
+		st.Failed += ts.Failed
+		totalTotal += row.totalTotal
+		maxTotal = max(maxTotal, row.maxTotal)
 	}
 	sort.Slice(st.Tenants, func(i, j int) bool { return st.Tenants[i].Tenant < st.Tenants[j].Tenant })
 	if n := st.Completed + st.Failed; n > 0 {
-		st.MeanWaitMs = float64(a.totalWait.Milliseconds()) / float64(n)
+		st.MeanWaitMs = float64(totalWait.Milliseconds()) / float64(n)
 		st.MeanTotalMs = float64(totalTotal.Milliseconds()) / float64(n)
 	}
 	st.MaxTotalMs = float64(maxTotal.Milliseconds())

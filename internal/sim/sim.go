@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
@@ -153,17 +151,44 @@ func run(s *schedule.Schedule, initial Memory) (*Result, error) {
 }
 
 // issueOrder returns the instruction IDs sorted by issue cycle, ties by ID.
+// It is a least-significant-digit radix sort, one byte per pass, on each
+// cycle's distance from the earliest. Every pass is stable and the first
+// starts in ID order, so ties stay in ID order; the span sets the number of
+// passes, two for any schedule shorter than 65,536 cycles.
 func issueOrder(pl []schedule.Placement) []int {
-	order := make([]int, len(pl))
+	n := len(pl)
+	buf := make([]int, 2*n)
+	order, tmp := buf[:n:n], buf[n:]
 	for i := range order {
 		order[i] = i
 	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(pl[a].Start, pl[b].Start); c != 0 {
-			return c
+	if n == 0 {
+		return order
+	}
+	lo, hi := pl[0].Start, pl[0].Start
+	for _, p := range pl[1:] {
+		lo, hi = min(lo, p.Start), max(hi, p.Start)
+	}
+	// The distance from lo, in uint64 arithmetic, is exact for any two
+	// ints, so a span wider than MaxInt still sorts.
+	span := uint64(hi) - uint64(lo)
+	for shift := 0; span>>shift != 0; shift += 8 {
+		var count [256]int
+		for _, id := range order {
+			count[byte((uint64(pl[id].Start)-uint64(lo))>>shift)]++
 		}
-		return cmp.Compare(a, b)
-	})
+		off := 0
+		for b, c := range count {
+			count[b] = off
+			off += c
+		}
+		for _, id := range order {
+			b := byte((uint64(pl[id].Start) - uint64(lo)) >> shift)
+			tmp[count[b]] = id
+			count[b]++
+		}
+		order, tmp = tmp, order
+	}
 	return order
 }
 
