@@ -146,31 +146,69 @@ func BenchmarkListScheduler(b *testing.B) {
 }
 
 // BenchmarkPrefMapOps isolates the weight-matrix primitives the passes are
-// built on.
+// built on. Every row kernel (internal/core/rowkern.go) has a case, at the
+// row widths of raw16 (C = 16) and of raw4 and vliw4 (C = 4): the kernels
+// choose their AVX2 bodies by C, so each width is timed on its own.
 func BenchmarkPrefMapOps(b *testing.B) {
-	b.Run("normalize", func(b *testing.B) {
-		p := core.NewPrefMap(500, 100, 16)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// Every pass leaves the rows it touched dirty; a clean row
-			// would time only Normalize's early return. Multiplying one
-			// slot by 1 dirties a row without moving its weights.
-			for j := 0; j < 500; j++ {
-				p.MulTime(j, 0, 1)
-			}
-			p.NormalizeAll()
-		}
-	})
-	b.Run("blend", func(b *testing.B) {
-		// cholesky@raw16's row shape: PATHPROP blends 346×16-cell rows.
-		p := core.NewPrefMap(64, 346, 16)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 1; j < 64; j++ {
-				p.Blend(j, j-1, 0.75)
+	// normalize times NormalizeAll over n dirty rows of T slots and C
+	// clusters: the total sweep (column sums) and the fused rescale.
+	normalize := func(n, T, C int) func(*testing.B) {
+		return func(b *testing.B) {
+			p := core.NewPrefMap(n, T, C)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// Every pass leaves the rows it touched dirty; a clean row
+				// would time only Normalize's early return. Multiplying one
+				// slot by 1 dirties a row without moving its weights.
+				for j := 0; j < n; j++ {
+					p.MulTime(j, 0, 1)
+				}
+				p.NormalizeAll()
 			}
 		}
-	})
+	}
+	b.Run("normalize", normalize(500, 100, 16))
+	// cholesky@raw16's row shape.
+	b.Run("normalize-346x16", normalize(64, 346, 16))
+	b.Run("normalize-c4", normalize(500, 100, 4))
+	blend := func(C int) func(*testing.B) {
+		return func(b *testing.B) {
+			p := core.NewPrefMap(64, 346, C)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := 1; j < 64; j++ {
+					p.Blend(j, j-1, 0.75)
+				}
+			}
+		}
+	}
+	// cholesky@raw16's row shape: PATHPROP blends 346×16-cell rows.
+	b.Run("blend", blend(16))
+	b.Run("blend-c4", blend(4))
+	// perCluster times one per-cluster sweep over every row of a 64×346×C
+	// map. Factors and divisors of 1 keep the weights, and so the timing,
+	// from drifting toward subnormals across iterations.
+	perCluster := func(op func(p *core.PrefMap, i int, f []float64)) func(*testing.B) {
+		return func(b *testing.B) {
+			for _, C := range []int{4, 16} {
+				b.Run(fmt.Sprintf("c%d", C), func(b *testing.B) {
+					p := core.NewPrefMap(64, 346, C)
+					f := make([]float64, C)
+					for c := range f {
+						f[c] = 1
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for j := 0; j < 64; j++ {
+							op(p, j, f)
+						}
+					}
+				})
+			}
+		}
+	}
+	b.Run("mul-per-cluster", perCluster((*core.PrefMap).MulPerCluster))
+	b.Run("div-per-cluster", perCluster((*core.PrefMap).DivPerCluster))
 	b.Run("preferred-cluster", func(b *testing.B) {
 		p := core.NewPrefMap(500, 100, 16)
 		p.MulCluster(250, 7, 3)

@@ -270,11 +270,7 @@ func (p *PrefMap) AddPerClusterMasked(i int, add []float64) {
 func (p *PrefMap) MulPerCluster(i int, f []float64) {
 	p.checkPerCluster("MulPerCluster", i, f)
 	row, _ := p.span(i)
-	for base := 0; base < len(row); base += p.C {
-		for c := 0; c < p.C; c++ {
-			row[base+c] *= f[c]
-		}
-	}
+	mulCols(row, f)
 	p.rows[i].dirty = true
 }
 
@@ -292,11 +288,7 @@ func (p *PrefMap) DivPerCluster(i int, d []float64) {
 		}
 	}
 	row, _ := p.span(i)
-	for base := 0; base < len(row); base += p.C {
-		for c := 0; c < p.C; c++ {
-			row[base+c] /= d[c]
-		}
-	}
+	divCols(row, d)
 	p.rows[i].dirty = true
 }
 
@@ -321,23 +313,7 @@ func (p *PrefMap) Blend(i, j int, own float64) {
 	}
 	p.rows[i].win = hull(p.rows[i].win, p.rows[j].win)
 	ri, lo := p.span(i)
-	rj := p.row(j)[lo*p.C:]
-	rj = rj[:len(ri)] // lets the compiler drop the per-cell bounds checks
-	other := 1 - own
-	// Unrolled by four; every cell still computes exactly own·a + other·b.
-	k := 0
-	for ; k+4 <= len(ri); k += 4 {
-		a, b := ri[k:k+4:k+4], rj[k:k+4:k+4]
-		a0, a1, a2, a3 := a[0], a[1], a[2], a[3]
-		b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
-		a[0] = own*a0 + other*b0
-		a[1] = own*a1 + other*b1
-		a[2] = own*a2 + other*b2
-		a[3] = own*a3 + other*b3
-	}
-	for ; k < len(ri); k++ {
-		ri[k] = own*ri[k] + other*rj[k]
-	}
+	blend(ri, p.row(j)[lo*p.C:], own, 1-own)
 	p.rows[i].dirty = true
 }
 
@@ -365,12 +341,10 @@ func (p *PrefMap) refresh(i int) {
 		return
 	}
 	cs, ts, row := p.marginals(i)
+	colSums(cs, row)
 	for t := range ts {
-		base := t * p.C
 		sum := 0.0
-		for c := 0; c < p.C; c++ {
-			w := row[base+c]
-			cs[c] += w
+		for _, w := range row[t*p.C : (t+1)*p.C] {
 			sum += w
 		}
 		ts[t] = sum
@@ -464,17 +438,33 @@ func (p *PrefMap) RunnerUpCluster(i int) int {
 }
 
 // PreferredTime returns the time slot maximising the time marginal of
-// instruction i (earliest wins ties).
+// instruction i (earliest wins ties). Every slot outside the window has a
+// marginal of exactly 0, so a positive maximum lies in the window and only
+// the window is scanned. A window with no positive marginal, empty or all
+// zero, falls back to scanning every slot, which answers slot 0 for a row
+// whose marginals are all zero.
 func (p *PrefMap) PreferredTime(i int) int {
 	p.refresh(i)
 	ts := p.timeSum[i*p.T : (i+1)*p.T]
-	best, bestW := 0, math.Inf(-1)
-	for t, w := range ts {
-		if w > bestW {
-			best, bestW = t, w
+	if w := p.rows[i].win; !w.empty() {
+		if best, bestW := argmax(ts[w.lo : w.hi+1]); bestW > 0 {
+			return w.lo + best
 		}
 	}
+	best, _ := argmax(ts)
 	return best
+}
+
+// argmax returns the index of the first largest value of vs and the value,
+// or 0 and -Inf when no value compares above -Inf (vs empty or all NaN).
+func argmax(vs []float64) (int, float64) {
+	best, bestW := 0, math.Inf(-1)
+	for k, w := range vs {
+		if w > bestW {
+			best, bestW = k, w
+		}
+	}
+	return best, bestW
 }
 
 // Confidence returns the paper's confidence measure for instruction i's
@@ -544,41 +534,8 @@ func (p *PrefMap) Normalize(i int) {
 	// leaves the instruction clean. The driver reads preferred clusters
 	// after every normalization; the fusion makes those reads cache hits.
 	// Slots outside the window stay zero (0·inv = 0 for a finite inv).
-	//
-	// Four slots go through each step of the loop below. Each slot's time
-	// marginal still adds its clusters in order, and each cluster marginal
-	// still adds its slots in order; the four independent time-marginal
-	// chains just run side by side.
 	cs, ts, row := p.marginals(i)
-	inv := 1 / total
-	C := len(cs)
-	t := 0
-	for ; t+4 <= len(ts); t += 4 {
-		r := row[t*C : (t+4)*C]
-		r0, r1, r2, r3 := r[:C], r[C:][:C], r[2*C:][:C], r[3*C:][:C]
-		var s0, s1, s2, s3 float64
-		for c := range cs {
-			w0, w1, w2, w3 := r0[c]*inv, r1[c]*inv, r2[c]*inv, r3[c]*inv
-			r0[c], r1[c], r2[c], r3[c] = w0, w1, w2, w3
-			cs[c] = cs[c] + w0 + w1 + w2 + w3
-			s0 += w0
-			s1 += w1
-			s2 += w2
-			s3 += w3
-		}
-		ts[t], ts[t+1], ts[t+2], ts[t+3] = s0, s1, s2, s3
-	}
-	for ; t < len(ts); t++ {
-		base := t * C
-		sum := 0.0
-		for c := range cs {
-			w := row[base+c] * inv
-			row[base+c] = w
-			cs[c] += w
-			sum += w
-		}
-		ts[t] = sum
-	}
+	rescale(cs, ts, row, 1/total)
 	p.rows[i].dirty = false
 }
 
@@ -590,21 +547,7 @@ func (p *PrefMap) windowTotal(i int) float64 {
 	cs := p.clusterSum[i*p.C : (i+1)*p.C]
 	clear(cs)
 	row, _ := p.span(i)
-	C := len(cs)
-	// Four slots per step, each cluster still adding them in slot order.
-	base := 0
-	for ; base+4*C <= len(row); base += 4 * C {
-		r := row[base : base+4*C]
-		r0, r1, r2, r3 := r[:C], r[C:][:C], r[2*C:][:C], r[3*C:][:C]
-		for c := range cs {
-			cs[c] = cs[c] + r0[c] + r1[c] + r2[c] + r3[c]
-		}
-	}
-	for ; base < len(row); base += C {
-		for c := range cs {
-			cs[c] += row[base+c]
-		}
-	}
+	colSums(cs, row)
 	return p.sumClusters(i)
 }
 

@@ -119,6 +119,18 @@ func (r *refMap) refresh(i int) {
 	r.dirty[i] = false
 }
 
+// preferredTime scans every slot's time marginal, earliest wins ties.
+func (r *refMap) preferredTime(i int) int {
+	r.refresh(i)
+	best, bestW := 0, math.Inf(-1)
+	for t, w := range r.timeSum[i*r.T : (i+1)*r.T] {
+		if w > bestW {
+			best, bestW = t, w
+		}
+	}
+	return best
+}
+
 func (r *refMap) normalize(i int) {
 	r.refresh(i)
 	total := 0.0
@@ -316,13 +328,17 @@ func randomWindowOp(rng *rand.Rand, n, T, C int) windowOp {
 }
 
 // checkAgainstRef brings both maps' marginal caches up to date and asserts
-// weights, cluster marginals, time marginals and per-cluster non-zero slot
-// counts are bit-identical, and that every slot outside each window is 0.
+// weights, cluster marginals, time marginals, per-cluster non-zero slot
+// counts and preferred times are bit-identical, and that every slot outside
+// each window is 0.
 func checkAgainstRef(t *testing.T, p *PrefMap, r *refMap, when string) {
 	t.Helper()
 	for i := 0; i < p.n; i++ {
 		p.refresh(i)
 		r.refresh(i)
+		if got, want := p.PreferredTime(i), r.preferredTime(i); got != want {
+			t.Fatalf("%s: PreferredTime(%d) = %d, reference %d", when, i, got, want)
+		}
 		got := make([]int, p.C)
 		p.NonzeroSlotsPerCluster(i, got)
 		for c, want := range r.nonzeroSlotsPerCluster(i) {
@@ -438,6 +454,12 @@ func TestPrefMapWindowEdgeCases(t *testing.T) {
 		}},
 		{"apply revives zero slots", 1, 6, 2, []windowOp{
 			opZeroTimesOutside(0, 2, 2), opApply(0, 1, 0.25), opNormalize(0),
+		}},
+		{"preferred time of an empty window", 2, 6, 2, []windowOp{
+			opZeroTimesOutside(0, 4, 1), opZeroTimesOutside(1, 3, 4), opZeroTimesOutside(1, 0, 1),
+		}},
+		{"preferred time of an all-zero window", 1, 6, 2, []windowOp{
+			opZeroTimesOutside(0, 2, 4), opMulCluster(0, 0, 0), opMulCluster(0, 1, 0),
 		}},
 		{"all-zero row reaches degenerate normalize", 1, 5, 3, []windowOp{
 			opZeroTimesOutside(0, 1, 3), opMulCluster(0, 0, 0), opMulCluster(0, 1, 0),

@@ -65,11 +65,15 @@ func VliwSequence() []core.Pass {
 	}
 }
 
+// IsRaw reports whether a machine name selects the Raw sequences: "raw*"
+// names do, every other name selects the VLIW ones.
+func IsRaw(name string) bool { return len(name) >= 3 && name[:3] == "raw" }
+
 // ForMachine returns the published sequence for a machine name prefix:
 // sequences for "raw*" machines come from RawSequence, everything else from
 // VliwSequence.
 func ForMachine(name string) []core.Pass {
-	if len(name) >= 3 && name[:3] == "raw" {
+	if IsRaw(name) {
 		return RawSequence()
 	}
 	return VliwSequence()
@@ -101,7 +105,7 @@ var TunedVliwLabels = []string{
 // TunedLabelsForMachine returns the tuned label list for a machine name
 // prefix, mirroring ForMachine's raw/vliw split.
 func TunedLabelsForMachine(name string) []string {
-	if len(name) >= 3 && name[:3] == "raw" {
+	if IsRaw(name) {
 		return TunedRawLabels
 	}
 	return TunedVliwLabels

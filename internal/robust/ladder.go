@@ -3,6 +3,7 @@ package robust
 import (
 	"context"
 	"fmt"
+	"strconv"
 
 	"repro/internal/baseline/pcc"
 	"repro/internal/baseline/rawcc"
@@ -100,7 +101,36 @@ func DefaultLadder(m *machine.Model, seed int64) []Rung {
 // the sequence, a different truncation, or a different baseline all change
 // the ID.
 func DefaultLadderID(m *machine.Model, seed int64) string {
-	return ladderID(m, "convergent", passes.ForMachine(m.Name), seed)
+	return ladderID(m, "convergent", sequenceIDsFor("convergent", m.Name), seed)
+}
+
+// sequenceIDs is the cache identity of a fixed pass sequence and of its
+// truncation (TruncatedSequence).
+type sequenceIDs struct{ full, truncated string }
+
+func sequenceIDsOf(seq []core.Pass) sequenceIDs {
+	return sequenceIDs{core.SequenceID(seq), core.SequenceID(TruncatedSequence(seq))}
+}
+
+// fixedIDs holds the identities of the sequences Select serves, formatted
+// once: core.SequenceID formats every pass with fmt, which would otherwise
+// cost every request, warm hits included. The index is [tuned][raw].
+var fixedIDs = [2][2]sequenceIDs{
+	{sequenceIDsOf(passes.ForMachine("vliw")), sequenceIDsOf(passes.ForMachine("raw"))},
+	{sequenceIDsOf(passes.TunedForMachine("vliw")), sequenceIDsOf(passes.TunedForMachine("raw"))},
+}
+
+// sequenceIDsFor returns the identities of the sequence a convergent
+// scheduler name (convergent or convergent-tuned) runs on a machine.
+func sequenceIDsFor(scheduler, machineName string) sequenceIDs {
+	tuned, raw := 0, 0
+	if scheduler == "convergent-tuned" {
+		tuned = 1
+	}
+	if passes.IsRaw(machineName) {
+		raw = 1
+	}
+	return fixedIDs[tuned][raw]
 }
 
 // ladder builds the four-rung degradation ladder over seq: the full and the
@@ -115,17 +145,18 @@ func ladder(m *machine.Model, name string, seq []core.Pass, seed int64) []Rung {
 	}
 }
 
-// ladderID is the cache identity of ladder(m, name, seq, seed).
-func ladderID(m *machine.Model, name string, seq []core.Pass, seed int64) string {
-	return convergentID(name, seq, seed) + ">" +
-		convergentID(name+"-truncated", TruncatedSequence(seq), seed+1) + ">" +
+// ladderID is the cache identity of ladder(m, name, seq, seed), given the
+// identities of seq and of its truncation.
+func ladderID(m *machine.Model, name string, ids sequenceIDs, seed int64) string {
+	return convergentID(name, ids.full, seed) + ">" +
+		convergentID(name+"-truncated", ids.truncated, seed+1) + ">" +
 		BaselineRung(m).Name + ">list"
 }
 
-// convergentID is the cache identity of ConvergentRung(name, m, seq, seed):
-// the pass-sequence identity and the noise seed.
-func convergentID(name string, seq []core.Pass, seed int64) string {
-	return fmt.Sprintf("%s[%s|seed=%d]", name, core.SequenceID(seq), seed)
+// convergentID is the cache identity of a ConvergentRung named name that
+// runs the sequence whose identity is seqID with the given noise seed.
+func convergentID(name, seqID string, seed int64) string {
+	return name + "[" + seqID + "|seed=" + strconv.FormatInt(seed, 10) + "]"
 }
 
 // Select builds the ladder for a scheduler name and the fallback choice,
@@ -167,13 +198,14 @@ func Select(m *machine.Model, scheduler string, fallback bool, seed int64) ([]Ru
 	default:
 		return nil, "", fmt.Errorf("robust: unknown scheduler %q", scheduler)
 	}
+	ids := sequenceIDsFor(scheduler, m.Name)
 	switch {
 	case seq != nil && fallback && scheduler == "convergent":
-		return ladder(m, scheduler, seq, seed), "default:" + ladderID(m, scheduler, seq, seed), nil
+		return ladder(m, scheduler, seq, seed), "default:" + ladderID(m, scheduler, ids, seed), nil
 	case seq != nil && fallback:
-		return ladder(m, scheduler, seq, seed), ladderID(m, scheduler, seq, seed), nil
+		return ladder(m, scheduler, seq, seed), ladderID(m, scheduler, ids, seed), nil
 	case seq != nil:
-		return []Rung{ConvergentRung(scheduler, m, seq, seed)}, convergentID(scheduler, seq, seed), nil
+		return []Rung{ConvergentRung(scheduler, m, seq, seed)}, convergentID(scheduler, ids.full, seed), nil
 	case fallback && scheduler != "list":
 		return []Rung{r, ListRung(m)}, r.Name + ">list", nil
 	default:

@@ -1,6 +1,7 @@
 package robust_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,6 +88,38 @@ func TestLadderIDsPinned(t *testing.T) {
 		}
 		if c.scheduler == "convergent" && !strings.Contains(got, core.SequenceID(passes.ForMachine(m.Name))) {
 			t.Errorf("%s convergent rung ID %s omits the pass-sequence identity", c.machine, got)
+		}
+	}
+}
+
+// TestSelectIDsNameTheSequencesRun checks the sequence identities Select
+// formats once at start-up against the sequences its rungs run, formatted
+// afresh, on machines of both families and several sizes, with fallback
+// off and on.
+func TestSelectIDsNameTheSequencesRun(t *testing.T) {
+	const seed = -7
+	for _, name := range []string{"raw1", "raw2", "raw4", "raw16", "vliw2", "vliw4", "vliw8"} {
+		m, err := machine.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			scheduler string
+			seq       []core.Pass
+		}{
+			{"convergent", passes.ForMachine(name)},
+			{"convergent-tuned", passes.TunedForMachine(name)},
+		} {
+			single := fmt.Sprintf("%s[%s|seed=%d]", c.scheduler, core.SequenceID(c.seq), seed)
+			truncated := fmt.Sprintf("%s-truncated[%s|seed=%d]", c.scheduler,
+				core.SequenceID(robust.TruncatedSequence(c.seq)), seed+1)
+			if _, got, err := robust.Select(m, c.scheduler, false, seed); err != nil || got != single {
+				t.Errorf("%s %s: ID %q (%v), want %q", name, c.scheduler, got, err, single)
+			}
+			_, got, err := robust.Select(m, c.scheduler, true, seed)
+			if err != nil || !strings.Contains(got, single+">"+truncated+">") {
+				t.Errorf("%s %s with fallback: ID %q (%v), want it to hold %q then %q", name, c.scheduler, got, err, single, truncated)
+			}
 		}
 	}
 }

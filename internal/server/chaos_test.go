@@ -107,6 +107,24 @@ func checkLegal(body []byte, ddg, machineName string) error {
 	return nil
 }
 
+// describeFailure renders a failed response for a test log: its status,
+// error kind and message, the rung and stage that failed, and every ladder
+// attempt, so one failure names its cause.
+func describeFailure(code int, body []byte) string {
+	var eb errorBody
+	if err := json.Unmarshal(body, &eb); err != nil {
+		return fmt.Sprintf("status %d, body not a structured error (%v): %s", code, err, body)
+	}
+	e := eb.Error
+	var b strings.Builder
+	fmt.Fprintf(&b, "status %d kind %q message %q rung %q stage %q, %d attempts",
+		code, e.Kind, e.Message, e.Rung, e.Stage, len(e.Attempts))
+	for _, a := range e.Attempts {
+		fmt.Fprintf(&b, "; %s %.3fms stage %q error %q", a.Rung, a.Ms, a.Stage, a.Error)
+	}
+	return b.String()
+}
+
 // TestChaosAcceptance is the headline acceptance test: a schedd whose every
 // convergent rung panics, hammered by 8 concurrent clients mixing machines,
 // kernels and deadlines, with admission tight enough to shed.
@@ -173,6 +191,8 @@ func TestChaosAcceptance(t *testing.T) {
 						timedOut.Add(1)
 					default:
 						failed.Add(1)
+						t.Errorf("client %d request %d (%s) attempt %d failed: %s",
+							c, r, query, attempt, describeFailure(resp.StatusCode, body))
 					}
 					break
 				}
