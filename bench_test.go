@@ -114,6 +114,30 @@ func BenchmarkConvergentScale(b *testing.B) {
 	}
 }
 
+// BenchmarkConvergentKernel times one pooled core.Schedule of the cholesky
+// kernel per op, state initialisation included: the unit of perfbench's
+// cold workload that sets its tail. Unlike BenchmarkPrefMapPassLoop, which
+// reruns the passes on one state, every op re-shapes a recycled map with
+// PrefMap.Reset before INITTIME narrows it.
+func BenchmarkConvergentKernel(b *testing.B) {
+	k, ok := bench.ByName("cholesky")
+	if !ok {
+		b.Fatal("cholesky kernel not found")
+	}
+	for _, m := range []*machine.Model{machine.Raw(16), machine.Chorus(4)} {
+		g := k.Build(m.NumClusters)
+		seq := passes.ForMachine(m.Name)
+		b.Run(m.Name+"-cholesky", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := core.Schedule(g, m, seq, exp.Seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkListScheduler isolates the shared cycle-driven list scheduler on
 // a large random graph: the substrate every scheduler pays for. The vliw4
 // cases contend on send ports and transfer units, the raw16 cases on mesh

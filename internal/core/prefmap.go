@@ -35,17 +35,28 @@ const BigConfidence = 1e9
 // after mutation, so PreferredCluster and Confidence are O(1) between
 // mutations of the same instruction.
 //
-// Each instruction also carries a time window [lo, hi]: a conservative hull
-// outside of which every slot is exactly zero. INITTIME narrows it to the
-// feasible start window and no later operation can revive a zero slot
-// except by widening the window, so row sweeps run over the window instead
-// of all T slots. Skipping slots that are exactly zero changes no weight
-// and no marginal bit: weights are non-negative, so every skipped term of a
-// marginal sum is +0, and 0·f, 0/d and own·0+other·0 are 0 for the finite
-// factors the sweeps accept. The time marginal outside the window is
-// exactly zero too: ZeroTimesOutside, the one operation that narrows a
-// window, zeroes it for the slots it drops, so sweeps rebuild it over the
-// window alone.
+// Each instruction also carries a time window [lo, hi]: every slot outside
+// it weighs exactly 0 by definition, and its cells are undefined storage (a
+// recycled map keeps whatever the last graph left there) that no operation
+// reads before writing it. INITTIME narrows the window to the feasible
+// start window, and no later operation can revive a slot outside it except
+// by widening the window, which first writes 0 into the cells it newly
+// covers. Row sweeps run over the window instead of all T slots. Skipping
+// slots that weigh exactly zero changes no weight and no marginal bit:
+// weights are non-negative, so every skipped term of a marginal sum is +0,
+// and 0·f, 0/d and own·0+other·0 are 0 for the finite factors the sweeps
+// accept. The time marginal outside the window is exactly zero too:
+// ZeroTimesOutside, the one operation that narrows a window, zeroes it for
+// the slots it drops, so sweeps rebuild it over the window alone.
+//
+// A row may also be lazy: one value over its whole window, held in its row
+// state, with no cell written. Reset leaves every row lazy at 1/(T·C), and
+// ZeroTimesOutside, the marginal reads and Normalize keep a lazy row lazy,
+// forming each sum from the one value in exactly the order a sweep of its
+// cells would add them. Any other mutation first writes the value over the
+// window. So Reset, INITTIME and the normalization after it write no
+// weight cell, and a row's cells are first written over its narrowed
+// window only.
 type PrefMap struct {
 	n, T, C int
 	w       []float64 // len n*T*C, W[i][t][c] at (i*T+t)*C + c
@@ -56,17 +67,26 @@ type PrefMap struct {
 }
 
 // rowState is one instruction's bookkeeping: its time window, with
-// W[i][t][·] = 0 for every t outside it, and whether its cached marginals
-// are stale.
+// W[i][t][·] = 0 for every t outside it, whether its cached marginals are
+// stale, and how its cells are held. A lazy row weighs val in every slot of
+// its window and holds no cell. A materialized row holds its weights in its
+// cells over ext, a hull of the window whose slots outside the window hold
+// 0, so Blend can read it across a wider hull without writing those zeros
+// again; its cells outside ext are undefined.
 type rowState struct {
-	win   window
-	dirty bool
+	win, ext window
+	dirty    bool
+	lazy     bool
+	val      float64
 }
 
 // window is an inclusive time-slot range [lo, hi]; lo > hi means empty.
 type window struct{ lo, hi int }
 
 func (w window) empty() bool { return w.lo > w.hi }
+
+// has reports whether slot t lies in the window.
+func (w window) has(t int) bool { return w.lo <= t && t <= w.hi }
 
 // hull returns the smallest window covering both a and b.
 func hull(a, b window) window {
@@ -104,9 +124,12 @@ func checkShape(n, T, C int) {
 
 // Reset re-shapes the map in place for n instructions, T time slots and C
 // clusters and re-initialises every weight to uniform, exactly as NewPrefMap
-// would. Backing arrays are reused when they are large enough, so a pooled
-// map reaches zero steady-state allocations once it has seen the largest
-// graph of its workload. The shape rules (and panics) match NewPrefMap.
+// would. It writes only the row states: every row becomes lazy at 1/(T·C)
+// over the full window, and no weight cell is written until a mutation
+// needs it (see PrefMap). Backing arrays are reused when they are large
+// enough, so a pooled map reaches zero steady-state allocations once it has
+// seen the largest graph of its workload. The shape rules (and panics)
+// match NewPrefMap.
 func (p *PrefMap) Reset(n, T, C int) {
 	checkShape(n, T, C)
 	p.n, p.T, p.C = n, T, C
@@ -115,19 +138,59 @@ func (p *PrefMap) Reset(n, T, C int) {
 	p.clusterSum = grow(p.clusterSum, n*C)
 	p.timeSum = grow(p.timeSum, n*T)
 	u := 1.0 / float64(T*C)
-	for i := range p.w {
-		p.w[i] = u
-	}
 	for i := range p.rows {
-		p.rows[i] = rowState{win: p.full(), dirty: true}
+		p.rows[i] = rowState{win: p.full(), dirty: true, lazy: true, val: u}
 	}
 }
 
 // full returns the window covering every time slot.
 func (p *PrefMap) full() window { return window{0, p.T - 1} }
 
-// cover widens instruction i's window to include slot t.
-func (p *PrefMap) cover(i, t int) { p.rows[i].win = hull(p.rows[i].win, window{t, t}) }
+// materialize writes a lazy row's value into every cell of its window, so
+// the row can be changed cell by cell.
+func (p *PrefMap) materialize(i int) {
+	if p.rows[i].lazy {
+		p.writeLazy(i)
+	}
+}
+
+// writeLazy is materialize's body, kept apart so the check inlines.
+func (p *PrefMap) writeLazy(i int) {
+	r := &p.rows[i]
+	r.lazy, r.ext = false, r.win
+	row, _ := p.span(i)
+	for k := range row {
+		row[k] = r.val
+	}
+}
+
+// zeroExtend grows materialized instruction i's extent to its hull with w,
+// writing 0 into the cells of every slot it newly covers, whose storage was
+// undefined. Those slots lie outside the window, where every weight is 0.
+func (p *PrefMap) zeroExtend(i int, w window) {
+	r := &p.rows[i]
+	e := hull(r.ext, w)
+	if e == r.ext {
+		return
+	}
+	row := p.row(i)
+	if r.ext.empty() {
+		clear(row[e.lo*p.C : (e.hi+1)*p.C])
+	} else {
+		clear(row[e.lo*p.C : r.ext.lo*p.C])
+		clear(row[(r.ext.hi+1)*p.C : (e.hi+1)*p.C])
+	}
+	r.ext = e
+}
+
+// widen grows materialized instruction i's window to its hull with w. The
+// cells of the slots it newly covers read 0, as those slots weighed before.
+func (p *PrefMap) widen(i int, w window) {
+	if h := hull(p.rows[i].win, w); h != p.rows[i].win {
+		p.zeroExtend(i, h)
+		p.rows[i].win = h
+	}
+}
 
 // grow returns a slice of exactly length n, reusing s's backing array when
 // it is big enough.
@@ -168,15 +231,24 @@ func (p *PrefMap) span(i int) (block []float64, lo int) {
 }
 
 // At returns W[i][t][c].
-func (p *PrefMap) At(i, t, c int) float64 { return p.w[p.idx(i, t, c)] }
+func (p *PrefMap) At(i, t, c int) float64 {
+	switch r := &p.rows[i]; {
+	case !r.win.has(t):
+		return 0
+	case r.lazy:
+		return r.val
+	}
+	return p.w[p.idx(i, t, c)]
+}
 
 // Set assigns W[i][t][c]. The value must be finite and non-negative.
 func (p *PrefMap) Set(i, t, c int, v float64) {
 	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		panic(fmt.Sprintf("core: Set(%d,%d,%d) to %v", i, t, c, v))
 	}
+	p.materialize(i)
+	p.widen(i, window{t, t})
 	p.w[p.idx(i, t, c)] = v
-	p.cover(i, t)
 	p.rows[i].dirty = true
 }
 
@@ -188,10 +260,11 @@ func (p *PrefMap) Add(i, t, c int, d float64) { p.Set(i, t, c, p.At(i, t, c)+d) 
 
 // MulCluster multiplies every time slot of cluster c for instruction i by f.
 // A non-finite f turns the zero slots outside the window into NaN (0·Inf),
-// so it sweeps the whole row and widens the window to full.
+// so it widens the window to full and sweeps the whole row.
 func (p *PrefMap) MulCluster(i, c int, f float64) {
+	p.materialize(i)
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		p.rows[i].win = p.full()
+		p.widen(i, p.full())
 	}
 	row, _ := p.span(i)
 	for k := c; k < len(row); k += p.C {
@@ -202,17 +275,20 @@ func (p *PrefMap) MulCluster(i, c int, f float64) {
 
 // MulTime multiplies every cluster entry of time slot t for instruction i by f.
 func (p *PrefMap) MulTime(i, t int, f float64) {
+	p.materialize(i)
+	p.widen(i, window{t, t})
 	base := p.idx(i, t, 0)
 	for c := 0; c < p.C; c++ {
 		p.w[base+c] *= f
 	}
-	p.cover(i, t)
 	p.rows[i].dirty = true
 }
 
 // Apply rewrites every slot of instruction i through f. The returned values
 // must be finite and non-negative.
 func (p *PrefMap) Apply(i int, f func(t, c int, w float64) float64) {
+	p.materialize(i)
+	p.widen(i, p.full())
 	for t := 0; t < p.T; t++ {
 		base := p.idx(i, t, 0)
 		for c := 0; c < p.C; c++ {
@@ -223,7 +299,6 @@ func (p *PrefMap) Apply(i int, f func(t, c int, w float64) float64) {
 			p.w[base+c] = v
 		}
 	}
-	p.rows[i].win = p.full()
 	p.rows[i].dirty = true
 }
 
@@ -231,18 +306,24 @@ func (p *PrefMap) Apply(i int, f func(t, c int, w float64) float64) {
 // outside [lo, hi]. It is INITTIME's inner operation, equivalent to an Apply
 // that returns 0 outside the window, without the closure. The instruction's
 // window shrinks to its intersection with [lo, hi], which may be empty.
-// It is the only operation that narrows a window, so it also zeroes the
-// dropped slots' time marginal (see PrefMap).
+// It is the only operation that narrows a window, so it zeroes the dropped
+// slots' time marginal (see PrefMap). A lazy row stays lazy and no weight
+// cell is written: after Reset, every row is lazy, so INITTIME is n·T work,
+// not n·T·C. A materialized row's dropped cells are zeroed, so they stay in
+// its zero-padded extent (see rowState).
 func (p *PrefMap) ZeroTimesOutside(i, lo, hi int) {
 	old := p.rows[i].win
 	keep := window{max(old.lo, lo), min(old.hi, hi)}
+	lazy := p.rows[i].lazy
 	row := p.row(i)
 	ts := p.timeSum[i*p.T : (i+1)*p.T]
 	for t := old.lo; t <= old.hi; t++ {
-		if t >= keep.lo && t <= keep.hi {
+		if keep.has(t) {
 			continue
 		}
-		clear(row[t*p.C : (t+1)*p.C])
+		if !lazy {
+			clear(row[t*p.C : (t+1)*p.C])
+		}
 		ts[t] = 0
 	}
 	p.rows[i].win = keep
@@ -254,6 +335,7 @@ func (p *PrefMap) ZeroTimesOutside(i, lo, hi int) {
 // additive noise must respect. add must hold C finite, non-negative values.
 func (p *PrefMap) AddPerClusterMasked(i int, add []float64) {
 	p.checkPerCluster("AddPerClusterMasked", i, add)
+	p.materialize(i)
 	row, _ := p.span(i)
 	for base := 0; base < len(row); base += p.C {
 		for c := 0; c < p.C; c++ {
@@ -269,6 +351,7 @@ func (p *PrefMap) AddPerClusterMasked(i int, add []float64) {
 // f must hold C finite, non-negative factors.
 func (p *PrefMap) MulPerCluster(i int, f []float64) {
 	p.checkPerCluster("MulPerCluster", i, f)
+	p.materialize(i)
 	row, _ := p.span(i)
 	mulCols(row, f)
 	p.rows[i].dirty = true
@@ -287,6 +370,7 @@ func (p *PrefMap) DivPerCluster(i int, d []float64) {
 			panic(fmt.Sprintf("core: DivPerCluster(%d): divisor %v for cluster %d", i, v, c))
 		}
 	}
+	p.materialize(i)
 	row, _ := p.span(i)
 	divCols(row, d)
 	p.rows[i].dirty = true
@@ -307,14 +391,27 @@ func (p *PrefMap) checkPerCluster(op string, i int, f []float64) {
 // W[i] ← own·W[i] + (1-own)·W[j], the paper's linear-combination operation
 // with n = 2. own must lie in [0,1]. Instruction i's window becomes the
 // hull of both windows.
+//
+// Both rows are materialized and zero-extended over the hull first, so one
+// blend sweeps it and every cell rounds as own·w + other·0, own·0 + other·w
+// or own·0 + other·0 wherever a window does not cover it, exactly as the
+// blend of both full rows would. Zero-extending j writes only zeros outside
+// its window, where it weighs 0, and is done once per hull: a later Blend
+// from the same row reuses the zeros.
 func (p *PrefMap) Blend(i, j int, own float64) {
 	if own < 0 || own > 1 {
 		panic(fmt.Sprintf("core: Blend weight %v", own))
 	}
-	p.rows[i].win = hull(p.rows[i].win, p.rows[j].win)
-	ri, lo := p.span(i)
-	blend(ri, p.row(j)[lo*p.C:], own, 1-own)
+	p.materialize(i)
+	p.materialize(j)
+	h := hull(p.rows[i].win, p.rows[j].win)
 	p.rows[i].dirty = true
+	if h.empty() {
+		return
+	}
+	p.zeroExtend(j, h)
+	p.widen(i, h)
+	blend(p.row(i)[h.lo*p.C:(h.hi+1)*p.C], p.row(j)[h.lo*p.C:], own, 1-own)
 }
 
 // NonzeroSlotsPerCluster counts, per cluster, how many of instruction i's
@@ -326,6 +423,14 @@ func (p *PrefMap) NonzeroSlotsPerCluster(i int, dst []int) {
 		panic(fmt.Sprintf("core: NonzeroSlotsPerCluster(%d): dst holds %d of %d clusters", i, len(dst), p.C))
 	}
 	clear(dst)
+	if r := &p.rows[i]; r.lazy {
+		if r.val > 0 {
+			for c := range dst {
+				dst[c] = max(0, r.win.hi-r.win.lo+1)
+			}
+		}
+		return
+	}
 	row, _ := p.span(i)
 	for base := 0; base < len(row); base += p.C {
 		for c := 0; c < p.C; c++ {
@@ -336,8 +441,18 @@ func (p *PrefMap) NonzeroSlotsPerCluster(i int, dst []int) {
 	}
 }
 
+// refresh brings instruction i's cached marginals up to date.
 func (p *PrefMap) refresh(i int) {
-	if !p.rows[i].dirty {
+	if p.rows[i].dirty {
+		p.recompute(i)
+	}
+}
+
+// recompute rebuilds instruction i's marginals and marks the row clean.
+func (p *PrefMap) recompute(i int) {
+	if r := &p.rows[i]; r.lazy {
+		p.lazyMarginals(i, r.val)
+		r.dirty = false
 		return
 	}
 	cs, ts, row := p.marginals(i)
@@ -362,6 +477,35 @@ func (p *PrefMap) marginals(i int) (cs, ts, row []float64) {
 	row, lo := p.span(i)
 	ts = p.timeSum[i*p.T+lo : i*p.T+lo+len(row)/p.C]
 	return cs, ts, row
+}
+
+// lazySums returns the marginals of a row that weighs v in every slot of
+// its window, with exactly the sums a sweep of its cells forms: a cluster
+// adds the window's slots in slot order, and a slot adds its clusters in
+// cluster order, each from +0. A scalar loop of window width plus C adds.
+func (p *PrefMap) lazySums(i int, v float64) (perCluster, perSlot float64) {
+	w := p.rows[i].win
+	for t := w.lo; t <= w.hi; t++ {
+		perCluster += v
+	}
+	for c := 0; c < p.C; c++ {
+		perSlot += v
+	}
+	return perCluster, perSlot
+}
+
+// lazyMarginals rebuilds instruction i's marginals as those of a row that
+// weighs v in every slot of its window (see lazySums).
+func (p *PrefMap) lazyMarginals(i int, v float64) {
+	perCluster, perSlot := p.lazySums(i, v)
+	cs := p.clusterSum[i*p.C : (i+1)*p.C]
+	for c := range cs {
+		cs[c] = perCluster
+	}
+	w := p.rows[i].win
+	for t := w.lo; t <= w.hi; t++ {
+		p.timeSum[i*p.T+t] = perSlot
+	}
 }
 
 // ClusterWeight returns Σ_t W[i][t][c].
@@ -502,6 +646,10 @@ func (p *PrefMap) Confidence(i int) float64 {
 // cached total is exactly 1 is returned as is: rescaling it by 1/1 leaves
 // every weight unchanged and rebuilds both caches from the same values in
 // the same order. A clean row with any other total is still rescaled.
+//
+// A lazy row stays lazy: its one value is rescaled and its marginals are
+// formed from that value (see lazySums), so it writes no weight cell. The
+// uniform reset makes the row lazy at 1/(T·C) over the full window.
 func (p *PrefMap) Normalize(i int) {
 	var total float64
 	if p.rows[i].dirty {
@@ -512,20 +660,15 @@ func (p *PrefMap) Normalize(i int) {
 	// A subnormal total is degenerate too: its reciprocal overflows to +Inf
 	// and would turn zero slots into 0·Inf = NaN during the rescale.
 	if total <= 0 || math.IsInf(total, 0) || math.IsNaN(total) || math.IsInf(1/total, 0) {
-		p.rows[i].win = p.full()
-		cs, ts, row := p.marginals(i)
 		u := 1.0 / float64(p.T*p.C)
-		for t := range ts {
-			base := t * p.C
-			sum := 0.0
-			for c := 0; c < p.C; c++ {
-				row[base+c] = u
-				cs[c] += u
-				sum += u
-			}
-			ts[t] = sum
-		}
-		p.rows[i].dirty = false
+		p.rows[i] = rowState{win: p.full(), lazy: true, val: u}
+		p.lazyMarginals(i, u)
+		return
+	}
+	if r := &p.rows[i]; r.lazy {
+		r.val = float64(r.val * (1 / total))
+		r.dirty = false
+		p.lazyMarginals(i, r.val)
 		return
 	}
 	// The rescale also rebuilds the marginal caches in the same sweep —
@@ -533,7 +676,6 @@ func (p *PrefMap) Normalize(i int) {
 	// so the cached marginals are bit-identical to a recompute — and
 	// leaves the instruction clean. The driver reads preferred clusters
 	// after every normalization; the fusion makes those reads cache hits.
-	// Slots outside the window stay zero (0·inv = 0 for a finite inv).
 	cs, ts, row := p.marginals(i)
 	rescale(cs, ts, row, 1/total)
 	p.rows[i].dirty = false
@@ -545,9 +687,16 @@ func (p *PrefMap) Normalize(i int) {
 // holding a fresh value while the row stays dirty.
 func (p *PrefMap) windowTotal(i int) float64 {
 	cs := p.clusterSum[i*p.C : (i+1)*p.C]
-	clear(cs)
-	row, _ := p.span(i)
-	colSums(cs, row)
+	if r := &p.rows[i]; r.lazy {
+		perCluster, _ := p.lazySums(i, r.val)
+		for c := range cs {
+			cs[c] = perCluster
+		}
+	} else {
+		clear(cs)
+		row, _ := p.span(i)
+		colSums(cs, row)
+	}
 	return p.sumClusters(i)
 }
 
@@ -559,14 +708,16 @@ func (p *PrefMap) NormalizeAll() {
 }
 
 // CheckInvariants verifies the paper's invariants within tolerance eps,
-// returning the first violation. Use after NormalizeAll.
+// returning the first violation. Use after NormalizeAll. It reads every
+// weight through At, in slot order, and leaves out only the slots outside
+// the window, whose +0 terms change no bit of the total.
 func (p *PrefMap) CheckInvariants(eps float64) error {
 	for i := 0; i < p.n; i++ {
 		total := 0.0
-		for t := 0; t < p.T; t++ {
-			base := p.idx(i, t, 0)
+		win := p.rows[i].win
+		for t := win.lo; t <= win.hi; t++ {
 			for c := 0; c < p.C; c++ {
-				w := p.w[base+c]
+				w := p.At(i, t, c)
 				if w < 0 || w > 1+eps || math.IsNaN(w) {
 					return fmt.Errorf("core: W[%d][%d][%d] = %v out of [0,1]", i, t, c, w)
 				}
@@ -580,12 +731,16 @@ func (p *PrefMap) CheckInvariants(eps float64) error {
 	return nil
 }
 
-// Clone returns an independent deep copy of the map.
+// Clone returns an independent deep copy of the map. It copies each row's
+// window cells (or its lazy value) and rebuilds the marginals on demand.
 func (p *PrefMap) Clone() *PrefMap {
 	q := NewPrefMap(p.n, p.T, p.C)
-	copy(q.w, p.w)
 	for i, r := range p.rows {
-		q.rows[i].win = r.win
+		q.rows[i] = rowState{win: r.win, ext: r.win, dirty: true, lazy: r.lazy, val: r.val}
+		if !r.lazy {
+			cells, lo := p.span(i)
+			copy(q.row(i)[lo*p.C:], cells)
+		}
 	}
 	return q
 }

@@ -25,7 +25,9 @@ import (
 // degenerate paths are exercised. Writing below the API bypasses window
 // maintenance, so the caller must hand over a map whose row 0 window is
 // still full (a fresh NewPrefMap); every slot written then lies inside it.
+// The row is materialized first, so it holds the cells written here.
 func fillRowFromBytes(p *PrefMap, data []byte) {
+	p.materialize(0)
 	slots := p.T * p.C
 	for k := 0; k < slots; k++ {
 		v := 0.0

@@ -5,7 +5,10 @@ package core
 // window. Random operation sequences run through both maps side by side,
 // and after every operation the weights and both marginal caches must be
 // bit-identical and every slot outside the window exactly zero. That pins
-// the claim that sweeping only the window changes no output bit.
+// the claim that sweeping only the window changes no output bit. Every
+// sequence also runs on a recycled map whose storage holds garbage, which
+// pins the claims that no cell outside a window is read before it is
+// written and that a lazy row's sums match a sweep of its cells.
 
 import (
 	"fmt"
@@ -328,9 +331,9 @@ func randomWindowOp(rng *rand.Rand, n, T, C int) windowOp {
 }
 
 // checkAgainstRef brings both maps' marginal caches up to date and asserts
-// weights, cluster marginals, time marginals, per-cluster non-zero slot
-// counts and preferred times are bit-identical, and that every slot outside
-// each window is 0.
+// weights (every cell, read through At), cluster marginals, time marginals,
+// per-cluster non-zero slot counts and preferred times are bit-identical,
+// and that every slot outside each window is 0.
 func checkAgainstRef(t *testing.T, p *PrefMap, r *refMap, when string) {
 	t.Helper()
 	for i := 0; i < p.n; i++ {
@@ -347,7 +350,15 @@ func checkAgainstRef(t *testing.T, p *PrefMap, r *refMap, when string) {
 			}
 		}
 	}
-	sameBits(t, when, "w", p.w, r.w)
+	cells := make([]float64, 0, p.n*p.T*p.C)
+	for i := 0; i < p.n; i++ {
+		for tt := 0; tt < p.T; tt++ {
+			for c := 0; c < p.C; c++ {
+				cells = append(cells, p.At(i, tt, c))
+			}
+		}
+	}
+	sameBits(t, when, "w", cells, r.w)
 	sameBits(t, when, "clusterSum", p.clusterSum, r.clusterSum)
 	sameBits(t, when, "timeSum", p.timeSum, r.timeSum)
 	checkZeroOutsideWindow(t, p, when)
@@ -381,17 +392,42 @@ func checkZeroOutsideWindow(t *testing.T, p *PrefMap, when string) {
 	}
 }
 
-// runWindowOps applies ops to a fresh map and reference of the given shape,
-// checking both after every operation, and checks a Clone at the end.
+// runWindowOps applies ops to a map and a reference of the given shape,
+// checking both after every operation, and checks a Clone at the end. It
+// runs the sequence twice: on a fresh map, and on a recycled one whose
+// storage holds another graph's leftovers (see staleMap).
 func runWindowOps(t *testing.T, n, T, C int, ops []windowOp, label string) {
 	t.Helper()
-	p, r := NewPrefMap(n, T, C), newRefMap(n, T, C)
-	checkAgainstRef(t, p, r, label+" fresh")
-	for k, op := range ops {
-		op.do(p, r)
-		checkAgainstRef(t, p, r, fmt.Sprintf("%s after op %d %s", label, k, op.name))
+	for _, start := range []struct {
+		name string
+		p    *PrefMap
+	}{{"fresh", NewPrefMap(n, T, C)}, {"stale", staleMap(n, T, C)}} {
+		p, r := start.p, newRefMap(n, T, C)
+		run := label + " " + start.name
+		checkAgainstRef(t, p, r, run+" start")
+		for k, op := range ops {
+			op.do(p, r)
+			checkAgainstRef(t, p, r, fmt.Sprintf("%s after op %d %s", run, k, op.name))
+		}
+		checkAgainstRef(t, p.Clone(), r, run+" clone")
 	}
-	checkAgainstRef(t, p.Clone(), r, label+" clone")
+}
+
+// staleMap returns a map Reset to n×T×C from a larger shape after every
+// cell and marginal of its storage was filled with NaN and 1e300, as a
+// pooled map keeps the last graph's weights. No read may see them.
+func staleMap(n, T, C int) *PrefMap {
+	p := NewPrefMap(n+1, T+2, C+1)
+	for _, s := range [][]float64{p.w, p.clusterSum, p.timeSum} {
+		for k := range s {
+			s[k] = math.NaN()
+			if k%2 == 1 {
+				s[k] = 1e300
+			}
+		}
+	}
+	p.Reset(n, T, C)
+	return p
 }
 
 // TestPrefMapWindowMatchesFullWidthReference runs random operation
@@ -464,6 +500,57 @@ func TestPrefMapWindowEdgeCases(t *testing.T) {
 		{"all-zero row reaches degenerate normalize", 1, 5, 3, []windowOp{
 			opZeroTimesOutside(0, 1, 3), opMulCluster(0, 0, 0), opMulCluster(0, 1, 0),
 			opMulCluster(0, 2, 0), opNormalize(0), opZeroTimesOutside(0, 0, 0), opNormalize(0),
+		}},
+		// Rows straight after Reset are lazy: one value over the window and
+		// no cell written. Each case below starts from such rows.
+		{"lazy map as reset", 2, 5, 3, nil},
+		{"lazy rows narrowed and normalized", 3, 9, 4, []windowOp{
+			opZeroTimesOutside(0, 2, 5), opZeroTimesOutside(1, 7, 3), opNormalizeAll(3),
+			opZeroTimesOutside(2, 0, 0), opNormalizeAll(3), opZeroTimesOutside(0, 3, 3),
+		}},
+		{"set outside a lazy window", 1, 6, 2, []windowOp{
+			opZeroTimesOutside(0, 2, 3), opSet(0, 5, 1, 0.5), opNormalize(0),
+		}},
+		{"mul time outside a lazy window", 1, 6, 3, []windowOp{
+			opZeroTimesOutside(0, 1, 2), opMulTime(0, 4, 2), opMulTime(0, 0, 0.5), opNormalize(0),
+		}},
+		{"apply to a lazy row", 1, 6, 2, []windowOp{
+			opZeroTimesOutside(0, 2, 3), opApply(0, 2, 0.125), opNormalize(0),
+		}},
+		{"mul cluster by +Inf on a lazy row", 1, 6, 3, []windowOp{
+			opZeroTimesOutside(0, 2, 3), opMulCluster(0, 1, math.Inf(1)), opNormalize(0),
+		}},
+		{"mul cluster by -Inf on a lazy row", 1, 6, 3, []windowOp{
+			opMulCluster(0, 2, math.Inf(-1)), opNormalize(0),
+		}},
+		{"blend lazy into materialized", 2, 8, 4, []windowOp{
+			opZeroTimesOutside(0, 1, 4), opMulTime(0, 2, 3), opZeroTimesOutside(1, 3, 6),
+			opBlend(0, 1, 0.3), opNormalize(0),
+		}},
+		{"blend materialized into lazy", 2, 8, 4, []windowOp{
+			opZeroTimesOutside(0, 1, 4), opMulTime(0, 2, 3), opZeroTimesOutside(1, 3, 6),
+			opBlend(1, 0, 0.6), opNormalize(1),
+		}},
+		{"blend lazy rows with disjoint windows", 2, 9, 3, []windowOp{
+			opZeroTimesOutside(0, 0, 1), opZeroTimesOutside(1, 5, 7),
+			opBlend(0, 1, 0.25), opNormalize(0), opBlend(1, 0, 0.75),
+		}},
+		{"blend a lazy row into itself", 1, 5, 4, []windowOp{
+			opZeroTimesOutside(0, 1, 3), opBlend(0, 0, 0.5), opNormalize(0),
+		}},
+		// INITTIME as the driver runs it: rows narrowed straight after
+		// Reset and normalized while still dirty and lazy. At C = 6 and 16
+		// these windows' totals, the fold of C equal cluster marginals,
+		// round differently from C times one of them.
+		{"narrow and normalize dirty lazy rows, C = 16", 3, 23, 16, []windowOp{
+			opThen(opThen(opZeroTimesOutside(0, 2, 9), opZeroTimesOutside(1, 4, 22)), opNormalizeAll(3)),
+		}},
+		{"narrow and normalize dirty lazy rows, C = 6", 3, 7, 6, []windowOp{
+			opThen(opThen(opZeroTimesOutside(0, 1, 3), opZeroTimesOutside(1, 2, 6)), opNormalizeAll(3)),
+			opThen(opZeroTimesOutside(2, 3, 5), opNormalize(2)),
+		}},
+		{"nonzero slots of lazy rows", 3, 7, 2, []windowOp{
+			opZeroTimesOutside(0, 2, 4), opZeroTimesOutside(1, 5, 2), opNormalizeAll(3),
 		}},
 	}
 	for _, tc := range cases {
